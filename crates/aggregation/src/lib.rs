@@ -45,4 +45,6 @@ pub use error::{AggregationError, DisaggregationError};
 pub use group::{group_indices, group_keys, group_offers, GroupingParams, KeyIndex};
 pub use loss::{flexibility_loss, loss_table, LossReport};
 pub use measure_aware::{MeasureAwareError, MeasureAwareGrouping};
-pub use start_align::{aggregate, aggregate_indices, aggregate_portfolio, Aggregate};
+pub use start_align::{
+    aggregate, aggregate_indices, aggregate_portfolio, aggregate_refs, Aggregate,
+};

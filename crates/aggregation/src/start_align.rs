@@ -1,5 +1,7 @@
 //! Start-alignment aggregation (Šikšnys et al., SSDBM 2012).
 
+use std::borrow::Borrow;
+
 use serde::{Deserialize, Serialize};
 
 use flexoffers_model::{FlexOffer, Slice, TimeSlot};
@@ -95,8 +97,15 @@ pub fn aggregate_indices(
     offers: &[FlexOffer],
     indices: &[usize],
 ) -> Result<Aggregate, AggregationError> {
-    let members: Vec<FlexOffer> = indices.iter().map(|&i| offers[i].clone()).collect();
-    aggregate(&members)
+    let members: Vec<&FlexOffer> = indices.iter().map(|&i| &offers[i]).collect();
+    aggregate_refs(&members)
+}
+
+/// [`aggregate`] over borrowed members — for callers whose offers live
+/// in several places (a sharded book), so the only copy made is the one
+/// the aggregate keeps.
+pub fn aggregate_refs(members: &[&FlexOffer]) -> Result<Aggregate, AggregationError> {
+    aggregate_members(members)
 }
 
 /// Aggregates a group of flex-offers by start alignment.
@@ -106,25 +115,26 @@ pub fn aggregate_indices(
 ///   contribute nothing);
 /// * `cmin_A = sum(cmin_i)`, `cmax_A = sum(cmax_i)`.
 pub fn aggregate(members: &[FlexOffer]) -> Result<Aggregate, AggregationError> {
+    aggregate_members(members)
+}
+
+/// The one start-alignment implementation behind [`aggregate`] and
+/// [`aggregate_refs`].
+fn aggregate_members<M: Borrow<FlexOffer>>(members: &[M]) -> Result<Aggregate, AggregationError> {
     if members.is_empty() {
         return Err(AggregationError::EmptyGroup);
     }
-    let anchor = members
-        .iter()
+    let each = || members.iter().map(Borrow::borrow);
+    let anchor = each()
         .map(FlexOffer::earliest_start)
         .min()
         .expect("non-empty");
-    let min_tf = members
-        .iter()
+    let min_tf = each()
         .map(FlexOffer::time_flexibility)
         .min()
         .expect("non-empty");
-    let offsets: Vec<TimeSlot> = members
-        .iter()
-        .map(|m| m.earliest_start() - anchor)
-        .collect();
-    let profile_len = members
-        .iter()
+    let offsets: Vec<TimeSlot> = each().map(|m| m.earliest_start() - anchor).collect();
+    let profile_len = each()
         .zip(&offsets)
         .map(|(m, off)| off + m.slice_count() as i64)
         .max()
@@ -132,7 +142,7 @@ pub fn aggregate(members: &[FlexOffer]) -> Result<Aggregate, AggregationError> {
 
     let mut mins = vec![0i64; profile_len as usize];
     let mut maxs = vec![0i64; profile_len as usize];
-    for (m, off) in members.iter().zip(&offsets) {
+    for (m, off) in each().zip(&offsets) {
         for (j, s) in m.slices().iter().enumerate() {
             let k = (*off + j as i64) as usize;
             mins[k] += s.min();
@@ -144,13 +154,13 @@ pub fn aggregate(members: &[FlexOffer]) -> Result<Aggregate, AggregationError> {
         .zip(maxs)
         .map(|(lo, hi)| Slice::new(lo, hi).expect("sum of ordered ranges is ordered"))
         .collect();
-    let total_min = members.iter().map(FlexOffer::total_min).sum();
-    let total_max = members.iter().map(FlexOffer::total_max).sum();
+    let total_min = each().map(FlexOffer::total_min).sum();
+    let total_max = each().map(FlexOffer::total_max).sum();
     let flexoffer = FlexOffer::with_totals(anchor, anchor + min_tf, slices, total_min, total_max)
         .expect("aggregation preserves flex-offer invariants");
     Ok(Aggregate {
         flexoffer,
-        members: members.to_vec(),
+        members: each().cloned().collect(),
         offsets,
     })
 }

@@ -11,6 +11,10 @@
 //! the baseline's (default 0.5×). That tolerates runner noise and CPU
 //! generation gaps while still catching a hot path that got an order of
 //! magnitude slower.
+//!
+//! Serving reports (`BENCH_serving.json`) also carry a cross-tier
+//! invariant that needs no baseline: at the largest size, every warm
+//! one-update query must be faster than the batch rebuild it replaces.
 
 use std::fmt;
 
@@ -83,6 +87,9 @@ pub struct EngineBenchReport {
     /// Multi-core scaling section; absent in reports recorded on
     /// single-core hosts (and in reports predating the section).
     pub multi_core: Option<MultiCoreRun>,
+    /// `(offers, secs)` of every engine run that recorded a warm
+    /// one-update query (`update_query_secs`, serving reports only).
+    pub warm_queries: Vec<(usize, f64)>,
 }
 
 // Hand-written rather than derived: the vendored serde derive has no
@@ -110,6 +117,19 @@ impl serde::Deserialize for EngineBenchReport {
                 Some(section) => Deserialize::from_value(section)?,
                 None => None,
             },
+            warm_queries: match field("engine")? {
+                serde::Value::Array(runs) => runs
+                    .iter()
+                    .filter_map(|run| Some((run.get("offers")?, run.get("update_query_secs")?)))
+                    .map(|(offers, secs)| {
+                        Ok((
+                            Deserialize::from_value(offers)?,
+                            Deserialize::from_value(secs)?,
+                        ))
+                    })
+                    .collect::<Result<_, serde::DeError>>()?,
+                _ => Vec::new(),
+            },
         })
     }
 }
@@ -125,6 +145,20 @@ impl EngineBenchReport {
             .fold(None, |best: Option<f64>, v| {
                 Some(best.map_or(v, |b| b.max(v)))
             })
+    }
+
+    /// The slowest warm one-update query at the largest size over the
+    /// batch rebuild of that size (the largest `sequential` run) — below
+    /// 1.0 when the incremental tier beats the rebuild it replaces.
+    /// `None` for reports without warm queries or batch runs.
+    pub fn incremental_vs_batch(&self) -> Option<f64> {
+        let largest = self.warm_queries.iter().map(|&(offers, _)| offers).max()?;
+        let batch = self.sequential.iter().max_by_key(|run| run.offers)?;
+        self.warm_queries
+            .iter()
+            .filter(|&&(offers, _)| offers == largest)
+            .map(|&(_, secs)| secs / batch.secs)
+            .reduce(f64::max)
     }
 }
 
@@ -175,6 +209,9 @@ pub struct RegressionVerdict {
     /// single-core runner comparing against a multi-core baseline, or
     /// vice versa, cannot be judged on scaling).
     pub multi_core_ratio: Option<f64>,
+    /// The candidate's [`EngineBenchReport::incremental_vs_batch`]; the
+    /// gate requires it below 1.0 when present.
+    pub incremental_vs_batch: Option<f64>,
     /// The failure threshold the gate was run with.
     pub min_ratio: f64,
 }
@@ -191,9 +228,13 @@ impl RegressionVerdict {
     }
 
     /// `true` when the candidate clears the threshold — per-core always,
-    /// and multi-core scaling too when both sides recorded it.
+    /// multi-core scaling too when both sides recorded it, and the warm
+    /// incremental query beats the batch rebuild when the candidate
+    /// recorded both.
     pub fn passed(&self) -> bool {
-        self.ratio() >= self.min_ratio && self.multi_core_ratio.is_none_or(|r| r >= self.min_ratio)
+        self.ratio() >= self.min_ratio
+            && self.multi_core_ratio.is_none_or(|r| r >= self.min_ratio)
+            && self.incremental_vs_batch.is_none_or(|r| r < 1.0)
     }
 
     /// Human-readable one-paragraph summary.
@@ -202,9 +243,13 @@ impl RegressionVerdict {
             Some(r) => format!("; multi-core speedup ratio {r:.2}x"),
             None => String::new(),
         };
+        let incremental = match self.incremental_vs_batch {
+            Some(r) => format!("; warm query / batch rebuild {r:.3} (gate: < 1)"),
+            None => String::new(),
+        };
         format!(
             "per-core throughput: baseline {:.0} offers/s/core, candidate {:.0} offers/s/core \
-             — ratio {:.2}x{multi_core} (gate: >= {:.2}x) => {}",
+             — ratio {:.2}x{multi_core} (gate: >= {:.2}x){incremental} => {}",
             self.baseline_per_core,
             self.candidate_per_core,
             self.ratio(),
@@ -244,6 +289,7 @@ pub fn check_regression(
         baseline_per_core,
         candidate_per_core,
         multi_core_ratio,
+        incremental_vs_batch: candidate.incremental_vs_batch(),
         min_ratio,
     })
 }
@@ -270,6 +316,7 @@ mod tests {
                 .collect(),
             speedup_8_threads_largest: 1.0,
             multi_core: None,
+            warm_queries: vec![],
         }
     }
 
@@ -387,6 +434,44 @@ mod tests {
     }
 
     #[test]
+    fn warm_queries_must_beat_the_batch_rebuild_at_the_largest_size() {
+        let mut serving = report(2, &[(4, 400.0)]);
+        serving.sequential = vec![
+            SequentialRun {
+                offers: 990,
+                secs: 0.002,
+                offers_per_sec: 495_000.0,
+            },
+            SequentialRun {
+                offers: 9_950,
+                secs: 0.020,
+                offers_per_sec: 497_500.0,
+            },
+        ];
+        // Slower than the 1k rebuild at 1k, but only the largest size
+        // (10k, whose rebuild is the largest sequential run) is gated.
+        serving.warm_queries = vec![(1_000, 0.003), (10_000, 0.004), (10_000, 0.005)];
+        assert_eq!(serving.incremental_vs_batch(), Some(0.25));
+        let verdict = check_regression(&serving, &serving, 0.5).unwrap();
+        assert!(verdict.passed(), "{}", verdict.render());
+        assert!(verdict
+            .render()
+            .contains("warm query / batch rebuild 0.250"));
+
+        // One warm query at the largest size slower than the rebuild fails
+        // the gate even though throughput held.
+        let mut inverted = serving.clone();
+        inverted.warm_queries.push((10_000, 0.021));
+        let verdict = check_regression(&serving, &inverted, 0.5).unwrap();
+        assert!((verdict.ratio() - 1.0).abs() < 1e-12);
+        assert!(!verdict.passed(), "{}", verdict.render());
+
+        // Reports without warm queries (every non-serving bench) are not
+        // gated on it.
+        assert_eq!(report(2, &[(4, 400.0)]).incremental_vs_batch(), None);
+    }
+
+    #[test]
     fn zero_baseline_cannot_fail_the_gate() {
         let zero = report(1, &[(1, 0.0)]);
         let candidate = report(1, &[(1, 1.0)]);
@@ -423,7 +508,9 @@ mod tests {
         assert_eq!(baseline.schema, ENGINE_BENCH_SCHEMA);
         assert!(!baseline.engine.is_empty());
         assert!(!baseline.sequential.is_empty());
+        assert_eq!(baseline.warm_queries.len(), baseline.engine.len());
         let verdict = check_regression(&baseline, &baseline, DEFAULT_MIN_RATIO).unwrap();
+        assert!(verdict.incremental_vs_batch.is_some_and(|r| r < 1.0));
         assert!(verdict.passed());
     }
 

@@ -23,8 +23,11 @@
 //! answer bytes come from the *same code* as the in-process tier, which
 //! is what makes cross-process answers byte-identical at any
 //! workers × threads × kernel budget, and a mostly-clean book pays for
-//! one dirty shard instead of K full exports. `import_shard`'s structural
-//! validation (placement, duplicate ids, digests, cache shapes) doubles
+//! one dirty shard instead of K full exports. An imported shard keeps the
+//! evaluated values of every offer it leaves unchanged, so the merged
+//! book re-evaluates only the offers mutated since the last gather.
+//! `import_shard`'s structural validation (placement, duplicate ids,
+//! digests, aligned arrays) doubles
 //! as wire-integrity checking on everything a worker ships back, and
 //! [`answer_full`](ClusterBook::answer_full) keeps the old
 //! full-gather path alive as a byte-identity oracle.
@@ -394,13 +397,12 @@ fn empty_shard() -> ShardExport {
         ids: Vec::new(),
         offers: Vec::new(),
         key_digest: 0,
-        cache: None,
     }
 }
 
 /// Splits a worker's gathered export into its populated shard, rejecting
 /// exports whose shape or placement is off. (Value-level corruption —
-/// digests, duplicate ids, cache shapes — is caught by the merged book's
+/// digests, duplicate ids, ragged arrays — is caught by the merged book's
 /// [`LiveBook::import_shard`].)
 fn own_shard(w: usize, workers: usize, export: BookExport) -> Result<ShardExport, ClusterError> {
     let fault = |message: String| ClusterError::Worker {
@@ -668,9 +670,8 @@ impl ClusterBook {
     fn gather(&mut self) -> Result<(), ClusterError> {
         let workers = self.slots.len();
         self.merged.reserve_ids(self.next_id);
-        // Scatter the export requests first so workers refresh their
-        // caches (and hash their shards) in parallel; replies are drained
-        // in shard order.
+        // Scatter the export requests first so workers hash their shards
+        // in parallel; replies are drained in shard order.
         let mut pending: Vec<Option<u64>> = Vec::with_capacity(workers);
         for slot in &mut self.slots {
             let request = WorkerRequest::Export {
@@ -739,9 +740,8 @@ impl ClusterBook {
     }
 
     /// Gathers and merges the cluster's current state into one
-    /// [`BookExport`] — what a snapshot of the cluster persists. Shards
-    /// arrive warm (workers refresh before exporting), so the export is
-    /// as query-ready as an in-process book's.
+    /// [`BookExport`] — what a snapshot of the cluster persists, the same
+    /// offers-only image an in-process book exports.
     pub fn export(&mut self) -> Result<BookExport, ClusterError> {
         self.gather()?;
         Ok(self.merged.export())
@@ -880,7 +880,6 @@ mod tests {
             ids,
             offers,
             key_digest: 0,
-            cache: None,
         }
     }
 

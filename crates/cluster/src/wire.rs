@@ -84,7 +84,7 @@ pub enum WorkerRequest {
         /// The global logical id.
         offer_id: u64,
     },
-    /// Refresh caches and reply with the worker's book export — unless
+    /// Reply with the worker's book export (offers only) — unless
     /// `if_digest` matches the worker's current shard state digest, in
     /// which case the reply is the tiny `not_modified` frame. `None`
     /// always ships the full export (respawn re-baselining, snapshots,
@@ -288,7 +288,7 @@ pub fn full_export_payload(
     own: usize,
     own_shard_json: &str,
 ) -> String {
-    const EMPTY_SHARD: &str = "{\"ids\":[],\"offers\":[],\"key_digest\":0,\"cache\":null}";
+    const EMPTY_SHARD: &str = "{\"ids\":[],\"offers\":[],\"key_digest\":0}";
     let mut payload = String::with_capacity(own_shard_json.len() + 64 + shards * EMPTY_SHARD.len());
     payload.push_str("{\"digest\":");
     payload.push_str(&digest.to_string());
@@ -411,7 +411,6 @@ mod tests {
                 ids: vec![0, 2],
                 offers: vec![offer(), offer()],
                 key_digest: 7,
-                cache: None,
             }],
         };
         for (id, request) in [
@@ -494,7 +493,6 @@ mod tests {
             ids: vec![0, 2],
             offers: vec![offer(), offer()],
             key_digest: 7,
-            cache: None,
         };
         let own_json = serde_json::to_string(&flexoffers_storage::shard_to_value(&shard)).unwrap();
         let digest = flexoffers_storage::shard_digest(&shard);

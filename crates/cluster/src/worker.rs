@@ -6,10 +6,10 @@
 //! in their stable shard *by construction* and the worker's populated
 //! shard stays byte-equal to the corresponding shard of an in-process
 //! K-shard book fed the same serialized mutation stream. The worker never
-//! answers queries itself: `export` refreshes its caches and ships the
-//! book image, and the supervisor merges the gathered shards into its
-//! persistent book so answer bytes come from the same code path as the
-//! in-process tier.
+//! answers queries or evaluates offers itself: `export` ships the book
+//! image (offers only), and the supervisor merges the gathered shards into
+//! its persistent book, which re-evaluates just the offers that changed,
+//! so answer bytes come from the same code path as the in-process tier.
 //!
 //! # The state digest
 //!
@@ -156,10 +156,6 @@ fn handle(
         }
         WorkerRequest::Export { if_digest } => {
             let st = live(state)?;
-            // Warm the caches first so the supervisor's merged book
-            // re-evaluates nothing — the evaluation work happens here, in
-            // parallel across workers.
-            st.book.refresh();
             if st.digest.is_none() {
                 let own = st.book.export_shard(st.shard);
                 let body =
@@ -263,7 +259,7 @@ mod tests {
     }
 
     #[test]
-    fn a_worker_populates_only_its_routed_shard_and_exports_it_warm() {
+    fn a_worker_populates_only_its_routed_shard_and_exports_its_offers() {
         // Two ids the supervisor would route to the same worker: the
         // placement is a hash, so find a collision with the real function.
         let first = 1u64;
@@ -295,9 +291,10 @@ mod tests {
         let populated: Vec<usize> = (0..4).filter(|&s| !book.shards[s].ids.is_empty()).collect();
         assert_eq!(populated, vec![home], "exactly the routed shard");
         assert_eq!(book.shards[home].ids, vec![first, second]);
-        assert!(
-            book.shards[home].cache.is_some(),
-            "export refreshes before shipping, so the shard arrives warm"
+        assert_eq!(
+            book.shards[home].offers,
+            vec![offer(0), offer(9)],
+            "the export ships the offers as updated, and nothing else"
         );
         // The shipped digest is the canonical one the supervisor could
         // recompute from the shard body.

@@ -121,11 +121,9 @@ impl Engine {
     /// both the measurement pass and the scenario correlations; nothing is
     /// reduced off the calling thread.
     ///
-    /// Public because the serving tier caches these rows *per shard* and
-    /// re-runs the pass only on shards a mutation dirtied: each row is a
-    /// pure function of its offer alone (no cross-offer arithmetic), so
-    /// rows computed shard-by-shard and gathered in portfolio order are
-    /// bitwise the rows of one flat pass, ready for
+    /// Each row is a pure function of its offer alone (no cross-offer
+    /// arithmetic), so rows computed shard by shard and gathered in
+    /// portfolio order are bitwise the rows of one flat pass, ready for
     /// [`reduce_measure_rows`].
     pub fn per_offer_rows(
         &self,
@@ -153,26 +151,53 @@ impl Engine {
         chunks.into_iter().flatten().collect()
     }
 
-    /// [`Engine::per_offer_rows`] evaluated through a caller-owned columnar
-    /// arena. On a single-threaded columnar budget the whole slice runs as
-    /// one batch inside `arena`, whose buffers survive the call — a worker
-    /// that keeps its arena (the serving tier keeps one per shard) does
-    /// zero steady-state kernel allocations. Any other budget delegates to
-    /// [`Engine::per_offer_rows`], leaving `arena` untouched. Rows are
-    /// bitwise identical either way: each row is a pure function of its
-    /// offer, so batching the slice whole instead of in chunks cannot
-    /// change it.
-    pub fn per_offer_rows_in(
+    /// Per-offer values of `measures` over `offers`, measure-major:
+    /// `columns[j][i]` is measure `j` on offer `i` — the layout
+    /// [`ColumnarBatch::columns`] produces and the serving tier caches per
+    /// shard. The budget's [`Kernel`] picks the columnar kernels or the
+    /// scalar prepared-offer loop, exactly as for
+    /// [`Engine::per_offer_rows`]. On a single-threaded columnar budget the
+    /// whole slice runs as one batch inside the caller-owned `arena`, whose
+    /// buffers survive the call, so a worker that keeps its arena does no
+    /// steady-state kernel allocation; any other budget chunks the slice
+    /// across workers and leaves `arena` untouched. Each value is a pure
+    /// function of its offer, so batching cannot change a bit.
+    pub fn per_offer_columns_in(
         &self,
         arena: &mut ColumnarBatch,
         offers: &[FlexOffer],
         measures: &[Box<dyn Measure>],
     ) -> Vec<Vec<Result<f64, MeasureError>>> {
-        if self.budget.threads() <= 1 && self.use_columnar(measures) {
-            arena.rows(offers, measures)
-        } else {
-            self.per_offer_rows(offers, measures)
+        let columnar = self.use_columnar(measures);
+        if self.budget.threads() <= 1 && columnar {
+            return arena.columns(offers, measures);
         }
+        let ranges = chunk_ranges(offers.len(), self.budget.chunk_size_for(offers.len()));
+        let chunked = parallel_map(&ranges, self.budget.threads(), |range| {
+            let chunk = &offers[range.clone()];
+            if columnar {
+                return ColumnarBatch::new().columns(chunk, measures);
+            }
+            let mut columns: Vec<Vec<Result<f64, MeasureError>>> = measures
+                .iter()
+                .map(|_| Vec::with_capacity(chunk.len()))
+                .collect();
+            for fo in chunk {
+                let prepared = PreparedOffer::new(fo);
+                for (column, m) in columns.iter_mut().zip(measures) {
+                    column.push(m.of_prepared(&prepared));
+                }
+            }
+            columns
+        });
+        (0..measures.len())
+            .map(|j| {
+                chunked
+                    .iter()
+                    .flat_map(|columns| columns[j].iter().cloned())
+                    .collect()
+            })
+            .collect()
     }
 
     /// Whether this budget's [`Kernel`] resolves to the columnar path for
@@ -328,7 +353,7 @@ impl Engine {
     }
 
     /// [`Engine::baseline_load_parallel`] through a caller-owned columnar
-    /// arena — the baseline counterpart of [`Engine::per_offer_rows_in`],
+    /// arena — the baseline counterpart of [`Engine::per_offer_columns_in`],
     /// with the same single-threaded-columnar arena reuse and the same
     /// bitwise-identity guarantee (the columnar partial reproduces the
     /// scalar fold's series representation exactly).
@@ -365,11 +390,13 @@ pub fn reduce_measure_rows(
 }
 
 /// One measure's reduction over its per-offer values in portfolio order —
-/// the shared fold behind [`reduce_measure_rows`] (row-major input) and
-/// the engine's columnar fast path (measure-major input). `offer_count`
-/// is the portfolio size the values were drawn from; the fold consumes
-/// exactly one value per offer.
-fn reduce_measure_values<'a>(
+/// the shared fold behind [`reduce_measure_rows`] (row-major input), the
+/// engine's columnar fast path, and the serving tier's per-shard columns
+/// (measure-major input: the caller walks one measure's column in
+/// portfolio order, so no row is ever materialised). `offer_count` is the
+/// portfolio size the values were drawn from; the fold consumes exactly
+/// one value per offer.
+pub fn reduce_measure_values<'a>(
     m: &dyn Measure,
     offer_count: usize,
     values: impl Iterator<Item = &'a Result<f64, MeasureError>>,

@@ -7,8 +7,8 @@
 //! measure/schedule/trade queries *between* updates. Rebuilding a
 //! [`ShardedBook`](flexoffers_engine::ShardedBook) and restarting the batch
 //! pipelines on every query throws away almost all of the previous
-//! evaluation: a single-offer update invalidates one shard's rows, not the
-//! book's.
+//! evaluation: a single-offer update invalidates one offer's values, not
+//! the book's.
 //!
 //! This crate keeps exactly that incremental state:
 //!
@@ -16,14 +16,15 @@
 //!   stable hash placement a batch
 //!   [`collect_hashed`](flexoffers_engine::ShardedBook::collect_hashed)
 //!   build uses ([`stable_shard`](flexoffers_engine::stable_shard)); each
-//!   shard caches its **prepared-offer measure rows** and its **baseline
-//!   partial**, guarded by a dirty bit, so a query re-runs the measure pass
-//!   on dirtied shards only and re-merges cached partials from the rest. A
-//!   per-shard **group-key digest** spots updates that leave the `(tes,
-//!   tf)` key multiset unchanged, keeping the grouping cache warm; when
-//!   keys do change, re-grouping is an incremental re-sweep over the
-//!   already-sorted [`KeyIndex`](flexoffers_aggregation::KeyIndex) — no
-//!   per-query sort.
+//!   shard keeps its offers' **measure values in measure-major columns**
+//!   with a per-offer stale flag, so a query evaluates only the offers
+//!   mutated since the last one and folds the rest straight off the
+//!   columns. Aggregates are cached per tolerance group and rebuilt only
+//!   for groups a mutation touched. A per-shard **group-key digest** spots
+//!   updates that leave the `(tes, tf)` key multiset unchanged, keeping
+//!   the grouping warm; when keys do change, re-grouping is a re-sweep
+//!   over the already-sorted
+//!   [`KeyIndex`](flexoffers_aggregation::KeyIndex) — no per-query sort.
 //! * [`LiveServer`] / [`LiveHandle`] — the mpsc event loop:
 //!   [`Event`]`::{Add, Update, Remove, Query}` messages drain into a
 //!   `LiveBook` on a dedicated thread, queries reply with one JSON line.
@@ -39,7 +40,7 @@
 //! scratch at that point and running the flat engine ([`batch::answer`]),
 //! at any shards × threads × chunk budget. The measure reduction, the
 //! correlation tables, and the scenario report assembly are the engine's
-//! own public functions — the live path feeds them cached per-shard state
+//! own public functions — the live path feeds them cached per-shard columns
 //! instead of freshly computed rows, and the property suite in
 //! `tests/props.rs` pins the bytes across random Add/Update/Remove/Query
 //! interleavings.
@@ -72,8 +73,6 @@ pub mod server;
 
 pub use config::{DurabilityConfig, ServeConfig};
 pub use event::{parse_script, parse_script_from, Event, QueryKind, ScriptError};
-pub use live::{
-    BookExport, ImportError, LiveBook, LiveError, MeasureRow, ShardCacheExport, ShardExport,
-};
+pub use live::{BookExport, ImportError, LiveBook, LiveError, ShardExport};
 pub use report::{AggregateReportJson, AggregateSummaryJson};
 pub use server::{EventSink, LiveHandle, LiveServer, ServeError};

@@ -11,44 +11,56 @@
 //!
 //! # Cache architecture
 //!
-//! Three layers of incremental state, each invalidated as narrowly as the
-//! mutation allows:
+//! The cache is per offer, lives in this module alone, and never leaves
+//! the process: an export, a snapshot or a worker's reply carries offers
+//! only, and whoever imports them re-evaluates what it cannot prove
+//! unchanged. Four pieces of incremental state, each invalidated as
+//! narrowly as the mutation allows:
 //!
-//! * **Per-shard measure rows** — the prepared-offer row pass
-//!   ([`Engine::per_offer_rows`]) cached per shard behind a dirty bit. A
-//!   single-offer update re-runs the pass on exactly one shard (asserted
-//!   by the per-shard evaluation counters, [`LiveBook::evaluations`]); the
-//!   merge gathers cached rows from everyone else.
+//! * **Measure-major shard columns** — `columns[j][local]` holds measure
+//!   `j` on the shard's offer at `local`, the layout
+//!   [`ColumnarBatch::columns`] returns. An add or update marks one slot
+//!   stale; a remove swap-removes the slot in every column. A refresh
+//!   evaluates only the stale offers, through the engine's kernel
+//!   selection ([`Engine::per_offer_columns_in`]), and writes them into
+//!   their slots. The measure query folds straight off the columns in id
+//!   order with the engine's own [`reduce_measure_values`], so no row is
+//!   materialised. [`LiveBook::offers_evaluated`] counts the
+//!   offers evaluated; [`LiveBook::evaluations`] counts refresh passes per
+//!   shard.
 //! * **Per-shard baseline partials** — the no-flexibility load summed per
-//!   shard; integer series addition is exact, so folding partials equals
-//!   the flat [`Engine::baseline_load_parallel`] bit for bit.
-//! * **Group-key state** — a sorted
-//!   [`KeyIndex`](flexoffers_aggregation::KeyIndex) maintained per event
-//!   (no per-query sort), a cached position grouping, and per-shard
-//!   **key digests** (a commutative multiset hash of the shard's
+//!   shard, computed only when a trade query asks and dropped by any
+//!   mutation of the shard. Integer series addition is exact, so folding
+//!   partials equals the flat [`Engine::baseline_load_parallel`] bit for
+//!   bit.
+//! * **Group-key state** — a sorted [`KeyIndex`] maintained per event
+//!   (no per-query sort), the cached grouping as member-id lists, and
+//!   per-shard **key digests** (a commutative multiset hash of the shard's
 //!   `(tes, tf)` keys, maintained in O(1) per mutation). An update that
 //!   keeps its offer's grouping key leaves every digest unchanged and
-//!   keeps the grouping cache warm (the in-process check compares the old
-//!   and new key directly — exact, collision-free; the digests are the
-//!   equivalent shard-level summary, exposed for observability and as the
-//!   16-byte-per-shard comparison a future *cross-process* shard would
-//!   ship instead of its keys). Only key-changing mutations force the
-//!   (linear, sort-free) re-sweep.
+//!   keeps the grouping warm (the in-process check compares the old and
+//!   new key directly; the digests are the same fact summarized per shard
+//!   and exposed for observability). Only key-changing mutations force
+//!   the (linear, sort-free) re-sweep.
+//! * **Group aggregates** — one start-alignment aggregate per group,
+//!   built from borrowed offers and kept across queries. An aggregating
+//!   query re-aggregates only the groups whose member-id list changed or
+//!   that hold an offer mutated since the last aggregating query.
 //!
 //! Queries recombine this state through the engine's own public reduction
 //! and report-assembly functions, which is what makes every answer
 //! byte-identical to a batch rebuild ([`crate::batch::answer`]).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use flexoffers_aggregation::{aggregate, Aggregate, KeyIndex};
-use flexoffers_engine::scenario::{flatten_rows, ScenarioError};
+use flexoffers_aggregation::{aggregate_refs, Aggregate, KeyIndex};
+use flexoffers_engine::scenario::ScenarioError;
 use flexoffers_engine::{
-    parallel_map, reduce_measure_rows, splitmix64, stable_shard, Engine, EngineError,
+    parallel_map, reduce_measure_values, splitmix64, stable_shard, Engine, EngineError,
     PortfolioReport, ScenarioKind,
 };
 use flexoffers_market::baseline_load;
@@ -63,12 +75,12 @@ use crate::config::ServeConfig;
 use crate::event::{Event, QueryKind};
 use crate::report::{aggregate_report, answer_line, error_line};
 
-/// One per-offer row of measure values (all eight measures) — what the
-/// per-shard cache stores and what a snapshot serializes.
-pub type MeasureRow = Vec<Result<f64, MeasureError>>;
+/// One measure's per-offer values over a shard, in local slot order.
+type Column = Vec<Result<f64, MeasureError>>;
 
-/// Local alias kept for brevity.
-type Row = MeasureRow;
+/// What a slot holds until its first evaluation. Never read: a stale slot
+/// is re-evaluated before any query folds it.
+const UNEVALUATED: Result<f64, MeasureError> = Ok(f64::NAN);
 
 /// Errors applying a mutation to a live book.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,8 +145,7 @@ pub enum ImportError {
         /// The offending shard index.
         shard: usize,
     },
-    /// A shard's parallel arrays (ids/offers, or cached rows) disagreed in
-    /// length.
+    /// A shard's parallel `ids`/`offers` arrays disagreed in length.
     CacheShape {
         /// The offending shard index.
         shard: usize,
@@ -173,17 +184,8 @@ impl fmt::Display for ImportError {
 
 impl Error for ImportError {}
 
-/// A serializable image of one shard's cached evaluation state — the rows
-/// and baseline partial a clean shard would otherwise recompute.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ShardCacheExport {
-    /// Per-offer measure rows, aligned with the shard's local offer order.
-    pub rows: Vec<MeasureRow>,
-    /// The shard's no-flexibility baseline partial.
-    pub baseline: Series<i64>,
-}
-
-/// A serializable image of one [`LiveBook`] shard.
+/// A serializable image of one [`LiveBook`] shard: its offers, never its
+/// evaluation cache.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ShardExport {
     /// The shard's live ids, in local (arrival/swap-remove) order.
@@ -192,14 +194,12 @@ pub struct ShardExport {
     pub offers: Vec<FlexOffer>,
     /// The shard's commutative `(tes, tf)` key digest.
     pub key_digest: u64,
-    /// The cached evaluation state, when the shard was clean.
-    pub cache: Option<ShardCacheExport>,
 }
 
-/// A full serializable image of a live book's incremental state — what a
-/// snapshot persists and [`LiveBook::from_export`] validates back into a
-/// book. Deliberately excludes the evaluation counters (observability,
-/// reset on import) and the scratch arenas (rebuilt on first refresh).
+/// A full serializable image of a live book — what a snapshot persists
+/// and [`LiveBook::from_export`] validates back into a book. Carries the
+/// offers and the id counter only: the evaluation cache, counters and
+/// scratch arenas are rebuilt by whoever imports it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BookExport {
     /// The monotone id counter (strictly past every live id).
@@ -226,42 +226,196 @@ fn reclaim_scratch(arena: Mutex<ColumnarBatch>) -> ColumnarBatch {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The cached evaluation state of one shard, valid only while the shard is
-/// clean (any mutation of the shard drops the whole cache).
-struct ShardCache {
-    /// Per-offer measure rows, aligned with the shard's local offer order.
-    rows: Vec<Row>,
-    /// The shard's no-flexibility baseline partial.
-    baseline: Series<i64>,
-}
-
-/// One shard of a [`LiveBook`]: parallel id/offer arrays (local order is
-/// arrival order with swap-remove holes — global order is restored through
-/// the id ranks, never from shard order).
+/// One shard of a [`LiveBook`]: parallel id/offer/value arrays (local
+/// order is arrival order with swap-remove holes — global order is
+/// restored through the id ranks, never from shard order).
 struct LiveShard {
     ids: Vec<u64>,
     offers: Vec<FlexOffer>,
-    cache: Option<ShardCache>,
+    /// Measure-major per-offer values, `columns[j][local]`, aligned with
+    /// `ids`. A slot's values are current unless `stale[local]`.
+    columns: Vec<Column>,
+    /// Per slot: its values predate the offer now in it.
+    stale: Vec<bool>,
+    /// The no-flexibility baseline partial, computed when a trade query
+    /// asks and dropped by any mutation of the shard.
+    baseline: Option<Series<i64>>,
     key_digest: u64,
     evaluations: usize,
-    /// The shard's columnar scratch arena: the measure pass and baseline
-    /// partial run inside it ([`Engine::per_offer_rows_in`]), and its
-    /// buffers persist across refreshes — once a shard has been evaluated
-    /// at its steady-state size, re-evaluations allocate nothing in the
-    /// kernels.
+    /// The shard's columnar scratch arena: refreshes and the baseline run
+    /// inside it ([`Engine::per_offer_columns_in`]), and its buffers
+    /// persist across refreshes.
     arena: ColumnarBatch,
 }
 
 impl LiveShard {
-    fn new() -> Self {
+    /// A shard holding `ids`/`offers` with every slot stale.
+    fn restored(measures: usize, ids: Vec<u64>, offers: Vec<FlexOffer>, key_digest: u64) -> Self {
+        let n = ids.len();
         Self {
-            ids: Vec::new(),
-            offers: Vec::new(),
-            cache: None,
-            key_digest: 0,
+            ids,
+            offers,
+            columns: vec![vec![UNEVALUATED; n]; measures],
+            stale: vec![true; n],
+            baseline: None,
+            key_digest,
             evaluations: 0,
             arena: ColumnarBatch::new(),
         }
+    }
+
+    fn push(&mut self, id: u64, offer: FlexOffer) {
+        self.ids.push(id);
+        self.offers.push(offer);
+        for column in &mut self.columns {
+            column.push(UNEVALUATED);
+        }
+        self.stale.push(true);
+        self.baseline = None;
+    }
+
+    fn replace(&mut self, local: usize, offer: FlexOffer) {
+        self.offers[local] = offer;
+        self.stale[local] = true;
+        self.baseline = None;
+    }
+
+    fn swap_remove(&mut self, local: usize) {
+        self.ids.swap_remove(local);
+        self.offers.swap_remove(local);
+        for column in &mut self.columns {
+            let _ = column.swap_remove(local);
+        }
+        self.stale.swap_remove(local);
+        self.baseline = None;
+    }
+
+    /// The stale slots, ascending. A scan of one flag per offer, which is
+    /// noise beside the fold every query makes over the same offers.
+    fn stale_slots(&self) -> Vec<usize> {
+        (0..self.stale.len()).filter(|&i| self.stale[i]).collect()
+    }
+
+    /// Stores freshly evaluated `values` (measure-major, aligned with
+    /// `slots`) and marks those slots current.
+    fn store(&mut self, slots: &[usize], values: Vec<Column>) {
+        if slots.len() == self.ids.len() {
+            self.columns = values;
+        } else {
+            for (column, fresh) in self.columns.iter_mut().zip(values) {
+                for (&i, value) in slots.iter().zip(fresh) {
+                    column[i] = value;
+                }
+            }
+        }
+        for &i in slots {
+            self.stale[i] = false;
+        }
+        self.evaluations += 1;
+    }
+}
+
+/// One owner-table entry: a live id and its slot, or a tombstone.
+#[derive(Clone, Copy, Debug)]
+struct Owner {
+    id: u64,
+    shard: u32,
+    local: u32,
+}
+
+/// The `shard` of a tombstone.
+const DEAD: u32 = u32::MAX;
+
+impl Owner {
+    fn new(id: u64, shard: usize, local: usize) -> Self {
+        let narrow = |n: usize| u32::try_from(n).ok().filter(|&n| n != DEAD);
+        Self {
+            id,
+            shard: narrow(shard).expect("fewer than 2^32 - 1 shards"),
+            local: narrow(local).expect("fewer than 2^32 - 1 offers per shard"),
+        }
+    }
+
+    fn slot(self) -> Option<(usize, usize)> {
+        (self.shard != DEAD).then_some((self.shard as usize, self.local as usize))
+    }
+}
+
+/// The owner table: every live id with its `(shard, local)` slot, in id
+/// order — logical portfolio order — in one flat vector, so query folds
+/// walk it linearly. Lookups are binary searches. Adds of fresh (largest)
+/// ids append; removals leave tombstones, which are dropped once they
+/// outnumber the live entries.
+#[derive(Debug, Default)]
+struct Owners {
+    entries: Vec<Owner>,
+    live: usize,
+}
+
+impl Owners {
+    /// A table over `entries` in any order; ids must be unique.
+    fn from_unsorted(mut entries: Vec<Owner>) -> Self {
+        entries.sort_unstable_by_key(|owner| owner.id);
+        let live = entries.len();
+        Self { entries, live }
+    }
+
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn get(&self, id: u64) -> Option<(usize, usize)> {
+        let at = self.entries.binary_search_by_key(&id, |o| o.id).ok()?;
+        self.entries[at].slot()
+    }
+
+    fn contains(&self, id: u64) -> bool {
+        self.get(id).is_some()
+    }
+
+    /// Records `id` at `(shard, local)`, replacing the slot it had.
+    fn insert(&mut self, id: u64, shard: usize, local: usize) {
+        let owner = Owner::new(id, shard, local);
+        if self.entries.last().is_none_or(|last| last.id < id) {
+            self.entries.push(owner);
+            self.live += 1;
+            return;
+        }
+        match self.entries.binary_search_by_key(&id, |o| o.id) {
+            Ok(at) => {
+                if self.entries[at].shard == DEAD {
+                    self.live += 1;
+                }
+                self.entries[at] = owner;
+            }
+            Err(at) => {
+                self.entries.insert(at, owner);
+                self.live += 1;
+            }
+        }
+    }
+
+    /// Tombstones `id`, returning the slot it had.
+    fn bury(&mut self, id: u64) -> Option<(usize, usize)> {
+        let at = self.entries.binary_search_by_key(&id, |o| o.id).ok()?;
+        let slot = self.entries[at].slot()?;
+        self.entries[at].shard = DEAD;
+        self.live -= 1;
+        Some(slot)
+    }
+
+    /// Drops the tombstones once they outnumber the live entries.
+    fn compact(&mut self) {
+        if self.entries.len() > 2 * self.live + 64 {
+            self.entries.retain(|o| o.shard != DEAD);
+        }
+    }
+
+    /// `(id, shard, local)` of every live id, in id order.
+    fn iter(&self) -> impl Iterator<Item = (u64, usize, usize)> + '_ {
+        self.entries
+            .iter()
+            .filter_map(|o| o.slot().map(|(s, local)| (o.id, s, local)))
     }
 }
 
@@ -285,15 +439,24 @@ pub struct LiveBook {
     config: ServeConfig,
     engine: Engine,
     shards: Vec<LiveShard>,
-    /// `owners[id] = (shard, local)` for every live id; iteration order is
-    /// id order, i.e. logical portfolio order.
-    owners: BTreeMap<u64, (usize, usize)>,
+    /// Every live id's `(shard, local)` slot; iteration order is id
+    /// order, i.e. logical portfolio order.
+    owners: Owners,
     next_id: u64,
     /// The live `(tes, tf)` keys, kept sorted across mutations.
     keys: KeyIndex,
-    /// The grouping as *positions* into the logical portfolio, cached
-    /// until a mutation changes the key multiset or the id set.
-    groups_cache: Option<Vec<Vec<usize>>>,
+    /// The tolerance grouping as member-id lists, in sweep order. Current
+    /// while `groups_valid`; after a key- or id-set-changing mutation it
+    /// is the previous grouping, kept so its aggregates can be reused.
+    groups: Vec<Vec<u64>>,
+    groups_valid: bool,
+    /// `aggregates[g]` aggregates `groups[g]` as of the last aggregating
+    /// query; empty before the first.
+    aggregates: Vec<Aggregate>,
+    /// Ids added or updated since `aggregates` was built (tracked only
+    /// while there are aggregates to invalidate).
+    touched: Vec<u64>,
+    offers_evaluated: usize,
 }
 
 impl LiveBook {
@@ -303,15 +466,41 @@ impl LiveBook {
         if shards == 0 {
             return Err(EngineError::ZeroShards);
         }
-        Ok(Self {
+        let measures = all_measures().len();
+        let shards = (0..shards)
+            .map(|_| LiveShard::restored(measures, Vec::new(), Vec::new(), 0))
+            .collect();
+        Ok(Self::assemble(
             config,
             engine,
-            shards: (0..shards).map(|_| LiveShard::new()).collect(),
-            owners: BTreeMap::new(),
-            next_id: 0,
-            keys: KeyIndex::new(),
-            groups_cache: None,
-        })
+            shards,
+            Owners::default(),
+            0,
+            KeyIndex::new(),
+        ))
+    }
+
+    fn assemble(
+        config: ServeConfig,
+        engine: Engine,
+        shards: Vec<LiveShard>,
+        owners: Owners,
+        next_id: u64,
+        keys: KeyIndex,
+    ) -> Self {
+        Self {
+            config,
+            engine,
+            shards,
+            owners,
+            next_id,
+            keys,
+            groups: Vec::new(),
+            groups_valid: false,
+            aggregates: Vec::new(),
+            touched: Vec::new(),
+            offers_evaluated: 0,
+        }
     }
 
     /// Number of live offers.
@@ -321,7 +510,7 @@ impl LiveBook {
 
     /// `true` when no offers are live.
     pub fn is_empty(&self) -> bool {
-        self.owners.is_empty()
+        self.owners.len() == 0
     }
 
     /// Number of shards.
@@ -339,12 +528,18 @@ impl LiveBook {
         &self.config
     }
 
-    /// How many times each shard's measure pass has run — the observable
-    /// the incremental contract is asserted on: after a warm query, a
-    /// single-offer update followed by another query bumps exactly one
-    /// shard's counter.
+    /// How many refresh passes each shard has run — a shard's counter
+    /// steps once per refresh that found any of its offers stale, however
+    /// many. After a warm query, a single-offer update followed by another
+    /// query bumps exactly one shard's counter.
     pub fn evaluations(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.evaluations).collect()
+    }
+
+    /// How many offers refreshes have evaluated in total — after a warm
+    /// query, a single-offer update followed by another query adds one.
+    pub fn offers_evaluated(&self) -> usize {
+        self.offers_evaluated
     }
 
     /// Per-shard group-key digests (commutative multiset hashes of the
@@ -352,22 +547,21 @@ impl LiveBook {
     /// grouping inputs did not change. In process the warm-cache decision
     /// uses the exact old-vs-new key comparison (see
     /// [`update`](Self::update)); the digests are the shard-level summary
-    /// of the same fact — what tests observe, and what a cross-process
-    /// shard would ship to prove its key multiset unchanged without
-    /// resending the keys.
+    /// of the same fact — what tests observe, and what an import checks
+    /// an image's keys against.
     pub fn key_digests(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.key_digest).collect()
     }
 
-    /// `true` while the cached position grouping is valid (no key- or
+    /// `true` while the cached grouping is valid (no key- or
     /// id-set-changing mutation since it was computed).
     pub fn groups_cached(&self) -> bool {
-        self.groups_cache.is_some()
+        self.groups_valid
     }
 
     /// The live ids in logical (id) order.
     pub fn live_ids(&self) -> Vec<u64> {
-        self.owners.keys().copied().collect()
+        self.owners.iter().map(|(id, _, _)| id).collect()
     }
 
     /// The id the next add will receive. Together with [`live_ids`]
@@ -382,15 +576,20 @@ impl LiveBook {
     /// offer; meant for oracles and tests, not the serving hot path.
     pub fn to_portfolio(&self) -> Portfolio {
         self.owners
-            .values()
-            .map(|&(s, local)| self.shards[s].offers[local].clone())
+            .iter()
+            .map(|(_, s, local)| self.shards[s].offers[local].clone())
             .collect()
     }
 
-    /// A serializable image of the book's incremental state — per-shard
-    /// ids, offers, key digests, cached rows/baseline partials, and the id
-    /// counter. Clones everything; meant for the snapshot path, which runs
-    /// off the hot loop's cadence.
+    /// The live offer with id `id`.
+    fn offer(&self, id: u64) -> &FlexOffer {
+        let (s, local) = self.owners.get(id).expect("a live id");
+        &self.shards[s].offers[local]
+    }
+
+    /// A serializable image of the book — per-shard ids, offers and key
+    /// digests, and the id counter. Clones every offer; meant for the
+    /// snapshot path, which runs off the hot loop's cadence.
     pub fn export(&self) -> BookExport {
         BookExport {
             next_id: self.next_id,
@@ -415,10 +614,6 @@ impl LiveBook {
             ids: shard.ids.clone(),
             offers: shard.offers.clone(),
             key_digest: shard.key_digest,
-            cache: shard.cache.as_ref().map(|cache| ShardCacheExport {
-                rows: cache.rows.clone(),
-                baseline: cache.baseline.clone(),
-            }),
         }
     }
 
@@ -427,8 +622,8 @@ impl LiveBook {
     /// stable shards, an id counter strictly past every live id, key
     /// digests that match the offers, and aligned parallel arrays. The
     /// owner table and sorted key index are reconstructed (they are pure
-    /// functions of the shard arrays); evaluation counters reset and the
-    /// grouping cache starts cold.
+    /// functions of the shard arrays); every offer starts stale, so the
+    /// first query evaluates the whole book.
     pub fn from_export(
         config: ServeConfig,
         engine: Engine,
@@ -438,26 +633,24 @@ impl LiveBook {
             return Err(ImportError::ZeroShards);
         }
         let shard_count = export.shards.len();
-        let mut owners = BTreeMap::new();
+        let measures = all_measures().len();
+        let mut owners = Vec::new();
+        let mut seen = HashSet::new();
         let mut keys = KeyIndex::new();
         let mut shards = Vec::with_capacity(shard_count);
         for (s, shard) in export.shards.into_iter().enumerate() {
             if shard.ids.len() != shard.offers.len() {
                 return Err(ImportError::CacheShape { shard: s });
             }
-            if let Some(cache) = &shard.cache {
-                if cache.rows.len() != shard.offers.len() {
-                    return Err(ImportError::CacheShape { shard: s });
-                }
-            }
             let mut digest = 0u64;
             for (local, (&id, offer)) in shard.ids.iter().zip(&shard.offers).enumerate() {
                 if stable_shard(id, shard_count) != s {
                     return Err(ImportError::MisplacedId { id });
                 }
-                if owners.insert(id, (s, local)).is_some() {
+                if !seen.insert(id) {
                     return Err(ImportError::DuplicateId { id });
                 }
+                owners.push(Owner::new(id, s, local));
                 if id >= export.next_id {
                     return Err(ImportError::StaleNextId {
                         next_id: export.next_id,
@@ -471,27 +664,21 @@ impl LiveBook {
             if digest != shard.key_digest {
                 return Err(ImportError::DigestMismatch { shard: s });
             }
-            shards.push(LiveShard {
-                ids: shard.ids,
-                offers: shard.offers,
-                cache: shard.cache.map(|cache| ShardCache {
-                    rows: cache.rows,
-                    baseline: cache.baseline,
-                }),
-                key_digest: shard.key_digest,
-                evaluations: 0,
-                arena: ColumnarBatch::new(),
-            });
+            shards.push(LiveShard::restored(
+                measures,
+                shard.ids,
+                shard.offers,
+                shard.key_digest,
+            ));
         }
-        Ok(Self {
+        Ok(Self::assemble(
             config,
             engine,
             shards,
-            owners,
-            next_id: export.next_id,
+            Owners::from_unsorted(owners),
+            export.next_id,
             keys,
-            groups_cache: None,
-        })
+        ))
     }
 
     /// Advances the id counter to at least `next_id` (it never rewinds).
@@ -503,10 +690,10 @@ impl LiveBook {
         self.next_id = self.next_id.max(next_id);
     }
 
-    /// Replaces shard `s` wholesale with an exported image — the delta
-    /// gather's merge step: a persistent merged book swaps in only the
-    /// shards whose digests changed, instead of
-    /// [`from_export`](Self::from_export) rebuilding all of them.
+    /// Replaces shard `s` with an exported image — the delta gather's
+    /// merge step: a persistent merged book swaps in only the shards whose
+    /// digests changed, instead of [`from_export`](Self::from_export)
+    /// rebuilding all of them.
     ///
     /// Revalidates everything `from_export` would for that shard (stable
     /// placement, no duplicate ids — including against offers *other*
@@ -516,10 +703,12 @@ impl LiveBook {
     /// untouched. Callers whose counter may trail the import call
     /// [`reserve_ids`](Self::reserve_ids) first.
     ///
-    /// The owner table and sorted key index are patched incrementally; the
-    /// grouping cache survives exactly when the shard's id sequence and
-    /// per-position grouping keys are unchanged (a profile-only refresh),
-    /// and the shard's scratch arena and evaluation counter are kept.
+    /// Every `(id, offer)` pair the image leaves unchanged keeps its
+    /// evaluated values; only the rest are marked stale. The owner table
+    /// and sorted key index are patched incrementally; the grouping stays
+    /// valid exactly when the shard's id sequence and per-position
+    /// grouping keys are unchanged (a profile-only refresh), and the
+    /// shard's scratch arena and evaluation counter are kept.
     pub fn import_shard(&mut self, s: usize, shard: ShardExport) -> Result<(), ImportError> {
         let shard_count = self.shards.len();
         if s >= shard_count {
@@ -528,20 +717,15 @@ impl LiveBook {
         if shard.ids.len() != shard.offers.len() {
             return Err(ImportError::CacheShape { shard: s });
         }
-        if let Some(cache) = &shard.cache {
-            if cache.rows.len() != shard.offers.len() {
-                return Err(ImportError::CacheShape { shard: s });
-            }
-        }
         let mut digest = 0u64;
-        let mut fresh = std::collections::BTreeSet::new();
+        let mut fresh = BTreeSet::new();
         for (&id, offer) in shard.ids.iter().zip(&shard.offers) {
             if stable_shard(id, shard_count) != s {
                 return Err(ImportError::MisplacedId { id });
             }
             // An owner entry pointing at shard `s` is being replaced; one
             // pointing anywhere else means the id is live twice.
-            if !fresh.insert(id) || self.owners.get(&id).is_some_and(|&(owner, _)| owner != s) {
+            if !fresh.insert(id) || self.owners.get(id).is_some_and(|(owner, _)| owner != s) {
                 return Err(ImportError::DuplicateId { id });
             }
             if id >= self.next_id {
@@ -556,39 +740,60 @@ impl LiveBook {
             return Err(ImportError::DigestMismatch { shard: s });
         }
 
-        // Validation passed — commit. First decide whether the grouping
-        // inputs changed (exact per-position comparison, the same standard
-        // `update` applies in process: digests summarize, ids + keys
-        // decide).
-        let unchanged = {
-            let old = &self.shards[s];
-            old.ids == shard.ids
-                && old
-                    .offers
-                    .iter()
-                    .zip(&shard.offers)
-                    .all(|(old, new)| grouping_key(old) == grouping_key(new))
-        };
-        for local in 0..self.shards[s].ids.len() {
-            let id = self.shards[s].ids[local];
-            let key = grouping_key(&self.shards[s].offers[local]);
-            self.owners.remove(&id);
-            assert!(self.keys.remove(id, key), "owner table and keys agree");
+        // Validation passed — commit. Carry every unchanged pair's values
+        // over, found through the owner table before it is patched.
+        let old = &mut self.shards[s];
+        let same_keys = old.ids == shard.ids
+            && old
+                .offers
+                .iter()
+                .zip(&shard.offers)
+                .all(|(old, new)| grouping_key(old) == grouping_key(new));
+        let same_offers = same_keys && old.offers == shard.offers;
+        let mut next =
+            LiveShard::restored(old.columns.len(), shard.ids, shard.offers, shard.key_digest);
+        let mut changed = Vec::new();
+        for (local, (&id, offer)) in next.ids.iter().zip(&next.offers).enumerate() {
+            let kept = self
+                .owners
+                .get(id)
+                .map(|(_, was)| was)
+                .filter(|&was| !old.stale[was] && old.offers[was] == *offer);
+            match kept {
+                Some(was) => {
+                    for (column, previous) in next.columns.iter_mut().zip(&old.columns) {
+                        column[local] = previous[was].clone();
+                    }
+                    next.stale[local] = false;
+                }
+                None => changed.push(id),
+            }
         }
+        if same_offers {
+            next.baseline = old.baseline.take();
+        }
+        next.evaluations = old.evaluations;
+        next.arena = std::mem::take(&mut old.arena);
+        let old = std::mem::replace(&mut self.shards[s], next);
+
+        for (&id, offer) in old.ids.iter().zip(&old.offers) {
+            self.owners.bury(id);
+            assert!(
+                self.keys.remove(id, grouping_key(offer)),
+                "owner table and keys agree"
+            );
+        }
+        let shard = &self.shards[s];
         for (local, (&id, offer)) in shard.ids.iter().zip(&shard.offers).enumerate() {
-            self.owners.insert(id, (s, local));
+            self.owners.insert(id, s, local);
             self.keys.insert(id, grouping_key(offer));
         }
-        let live = &mut self.shards[s];
-        live.ids = shard.ids;
-        live.offers = shard.offers;
-        live.key_digest = shard.key_digest;
-        live.cache = shard.cache.map(|cache| ShardCache {
-            rows: cache.rows,
-            baseline: cache.baseline,
-        });
-        if !unchanged {
-            self.groups_cache = None;
+        self.owners.compact();
+        if !same_keys {
+            self.groups_valid = false;
+        }
+        for id in changed {
+            self.touch(id);
         }
         Ok(())
     }
@@ -638,28 +843,28 @@ impl LiveBook {
     /// advances (`next_id = max(next_id, id + 1)`, saturating), keeping
     /// the export invariant that it strictly clears every live id.
     pub fn add_at(&mut self, id: u64, offer: FlexOffer) -> Result<(), LiveError> {
-        if self.owners.contains_key(&id) {
+        if self.owners.contains(id) {
             return Err(LiveError::IdTaken { id });
         }
         self.next_id = self.next_id.max(id.saturating_add(1));
         let s = stable_shard(id, self.shards.len());
         let key = grouping_key(&offer);
         let shard = &mut self.shards[s];
-        self.owners.insert(id, (s, shard.ids.len()));
-        shard.ids.push(id);
-        shard.offers.push(offer);
-        shard.cache = None;
+        self.owners.insert(id, s, shard.ids.len());
+        shard.push(id, offer);
         shard.key_digest = shard.key_digest.wrapping_add(key_hash(key));
         self.keys.insert(id, key);
-        self.groups_cache = None;
+        self.groups_valid = false;
+        self.touch(id);
         Ok(())
     }
 
-    /// Replaces the offer with logical id `id` in place. Dirties exactly
-    /// that offer's shard; when the replacement keeps the offer's grouping
-    /// key, the key index, digests, and cached grouping all stay warm.
+    /// Replaces the offer with logical id `id` in place. Marks exactly
+    /// that offer stale; when the replacement keeps the offer's grouping
+    /// key, the key index, digests, and grouping all stay warm and only
+    /// the offer's group is re-aggregated.
     pub fn update(&mut self, id: u64, offer: FlexOffer) -> Result<(), LiveError> {
-        let &(s, local) = self.owners.get(&id).ok_or(LiveError::UnknownId { id })?;
+        let (s, local) = self.owners.get(id).ok_or(LiveError::UnknownId { id })?;
         let shard = &mut self.shards[s];
         let old_key = grouping_key(&shard.offers[local]);
         let new_key = grouping_key(&offer);
@@ -670,29 +875,46 @@ impl LiveBook {
                 .key_digest
                 .wrapping_sub(key_hash(old_key))
                 .wrapping_add(key_hash(new_key));
-            self.groups_cache = None;
+            self.groups_valid = false;
         }
-        shard.offers[local] = offer;
-        shard.cache = None;
+        shard.replace(local, offer);
+        self.touch(id);
         Ok(())
     }
 
     /// Removes the offer with logical id `id` (ids are never reused).
     pub fn remove(&mut self, id: u64) -> Result<(), LiveError> {
-        let (s, local) = self.owners.remove(&id).ok_or(LiveError::UnknownId { id })?;
+        let (s, local) = self.owners.bury(id).ok_or(LiveError::UnknownId { id })?;
+        self.owners.compact();
         let shard = &mut self.shards[s];
         let key = grouping_key(&shard.offers[local]);
-        shard.ids.swap_remove(local);
-        shard.offers.swap_remove(local);
+        shard.swap_remove(local);
         if let Some(&moved) = shard.ids.get(local) {
             // swap_remove relocated the former tail into the hole.
-            self.owners.insert(moved, (s, local));
+            self.owners.insert(moved, s, local);
         }
-        shard.cache = None;
         shard.key_digest = shard.key_digest.wrapping_sub(key_hash(key));
         assert!(self.keys.remove(id, key), "owner table and keys agree");
-        self.groups_cache = None;
+        self.groups_valid = false;
         Ok(())
+    }
+
+    /// Records that `id`'s offer changed, so the aggregate of its group is
+    /// rebuilt even if the group's member list is unchanged (a
+    /// key-preserving update, or a dead id re-added through
+    /// [`add_at`](Self::add_at)). Once more ids are touched than are live,
+    /// the aggregates are dropped instead: rebuilding all is then cheaper
+    /// than locating each.
+    fn touch(&mut self, id: u64) {
+        if self.aggregates.is_empty() {
+            return;
+        }
+        if self.touched.len() >= self.owners.len() {
+            self.aggregates.clear();
+            self.touched.clear();
+        } else {
+            self.touched.push(id);
+        }
     }
 
     /// Answers one query from the incremental state as a single JSON line
@@ -711,12 +933,27 @@ impl LiveBook {
         let started = Instant::now();
         self.refresh_dirty();
         let measures = all_measures();
-        let rows = self.gather_rows();
-        let summaries = reduce_measure_rows(&measures, &rows);
+        let offers = self.len();
+        let summaries = measures
+            .iter()
+            .enumerate()
+            .map(|(j, m)| {
+                let columns: Vec<&[Result<f64, MeasureError>]> = self
+                    .shards
+                    .iter()
+                    .map(|shard| &shard.columns[j][..])
+                    .collect();
+                reduce_measure_values(
+                    m.as_ref(),
+                    offers,
+                    self.owners.iter().map(|(_, s, local)| &columns[s][local]),
+                )
+            })
+            .collect();
         let report = PortfolioReport {
-            offers: rows.len(),
+            offers,
             threads: self.engine.budget().threads(),
-            chunk_size: self.engine.budget().chunk_size_for(rows.len()),
+            chunk_size: self.engine.budget().chunk_size_for(offers),
             elapsed: started.elapsed(),
             summaries,
         };
@@ -724,11 +961,10 @@ impl LiveBook {
     }
 
     fn aggregate_answer(&mut self) -> String {
-        self.ensure_groups();
-        let aggregates = self.aggregate_groups(self.cached_groups());
+        self.ensure_aggregates();
         answer_line(
             QueryKind::Aggregate,
-            &aggregate_report(self.len(), &aggregates),
+            &aggregate_report(self.len(), &self.aggregates),
         )
     }
 
@@ -739,8 +975,7 @@ impl LiveBook {
         }
         let started = Instant::now();
         self.refresh_dirty();
-        self.ensure_groups();
-        let groups = self.cached_groups();
+        self.ensure_aggregates();
         let scenario = self.config.scenario(ScenarioKind::Schedule);
         let n = self.len();
         let target = scenario.target_for(n);
@@ -748,11 +983,21 @@ impl LiveBook {
         // The Scenario 1 pipeline over incrementally grouped state — the
         // engine's own back half, so the stages cannot drift from the
         // flat and sharded paths.
-        let aggregates = self.aggregate_groups(groups);
+        let ids = self.live_ids();
+        let groups: Vec<Vec<usize>> = self
+            .groups
+            .iter()
+            .map(|members| {
+                members
+                    .iter()
+                    .map(|id| ids.binary_search(id).expect("grouped ids are live"))
+                    .collect()
+            })
+            .collect();
         let scheduler = scenario.scheduler.build();
         let outcome = match self.engine.schedule_aggregates(
-            &aggregates,
-            groups,
+            &self.aggregates,
+            &groups,
             n,
             &target,
             scheduler.as_ref(),
@@ -767,24 +1012,32 @@ impl LiveBook {
             parallel_map(&self.shards, self.engine.budget().threads(), |shard| {
                 shard.offers.iter().map(earliest_start_assignment).collect()
             });
-        let baseline = Schedule::new(self.scatter(per_shard));
+        let baseline = Schedule::new(self.scatter(&ids, per_shard));
         let imbalance_before = baseline.imbalance(&target);
         let imbalance_after = outcome.schedule.imbalance(&target);
 
-        // Correlations reuse the cached measure rows; shifts come from the
-        // realized schedule against each offer's earliest start.
-        let rows = flatten_rows(self.gather_rows());
-        let earliest: Vec<i64> = self
+        // Correlations read the evaluated columns in id order (errors
+        // flattened to `None`); shifts come from the realized schedule
+        // against each offer's earliest start.
+        let rows: Vec<Vec<Option<f64>>> = self
             .owners
-            .values()
-            .map(|&(s, local)| self.shards[s].offers[local].earliest_start())
+            .iter()
+            .map(|(_, s, local)| {
+                let columns = &self.shards[s].columns;
+                columns
+                    .iter()
+                    .map(|c| c[local].as_ref().ok().copied())
+                    .collect()
+            })
             .collect();
         let shifts: Vec<f64> = outcome
             .schedule
             .assignments()
             .iter()
-            .zip(&earliest)
-            .map(|(a, tes)| (a.start() - tes) as f64)
+            .zip(self.owners.iter())
+            .map(|(a, (_, s, local))| {
+                (a.start() - self.shards[s].offers[local].earliest_start()) as f64
+            })
             .collect();
 
         let report = self.engine.schedule_report(
@@ -806,150 +1059,191 @@ impl LiveBook {
             return error_line(kind, &ScenarioError::EmptyPortfolio.to_string());
         }
         let started = Instant::now();
-        self.refresh_dirty();
-        self.ensure_groups();
+        self.ensure_aggregates();
+        self.ensure_baselines();
         let scenario = self.config.scenario(ScenarioKind::Market);
-        let aggregates = self.aggregate_groups(self.cached_groups());
-        // The baseline folds the cached per-shard partials — integer
-        // series addition makes this the flat baseline bit for bit.
+        // The baseline folds the per-shard partials — integer series
+        // addition makes this the flat baseline bit for bit.
         let baseline = sum_series(
             self.shards
                 .iter()
-                .map(|s| &s.cache.as_ref().expect("refreshed above").baseline),
+                .map(|s| s.baseline.as_ref().expect("ensured above")),
         );
         let report =
             self.engine
-                .market_report(&scenario, self.len(), &aggregates, &baseline, started);
+                .market_report(&scenario, self.len(), &self.aggregates, &baseline, started);
         answer_line(kind, &report.json())
     }
 
-    /// Refreshes every dirty shard's cached rows and baseline partial —
-    /// the public face of the per-query refresh, for callers that need a
-    /// warm [`export`](Self::export) *without* answering a query: a
-    /// cross-process shard worker refreshes before shipping its state, so
-    /// the supervisor's merge gathers only clean caches and re-evaluates
-    /// nothing.
+    /// Evaluates every stale offer — the public face of the per-query
+    /// refresh, for callers that time it apart from the answer.
     pub fn refresh(&mut self) {
         self.refresh_dirty();
     }
 
-    /// Re-runs the measure pass and the baseline partial on every dirty
-    /// shard (dirty shards fan out across the budget's threads, each
-    /// worker getting a per-shard split of the budget over the *dirty*
-    /// count — on the one-dirty-shard hot path that single worker gets the
-    /// whole thread budget; the split is throughput-only, results are
-    /// budget-invariant) and bumps those shards' evaluation counters.
-    /// Clean shards are not touched — this is the "one shard per
+    /// Runs `job` once per listed shard, the shards fanned out across the
+    /// budget's threads. Each worker gets an equal split of the budget
+    /// over the listed count (on the one-shard hot path that single worker
+    /// gets the whole budget; the split is throughput-only, results are
+    /// budget-invariant) and holds its shard's scratch arena, which is
+    /// taken out of the shard for the call and handed back after, so its
+    /// buffers survive the round trip. Results come back in `jobs` order.
+    fn fan_out<J: Sync, R: Send>(
+        &mut self,
+        jobs: &[(usize, J)],
+        job: impl Fn(&Engine, &LiveShard, &J, &mut ColumnarBatch) -> R + Sync,
+    ) -> Vec<R> {
+        let worker = Engine::new(self.engine.budget().per_shard(jobs.len()));
+        let arenas: Vec<Mutex<ColumnarBatch>> = jobs
+            .iter()
+            .map(|&(s, _)| Mutex::new(std::mem::take(&mut self.shards[s].arena)))
+            .collect();
+        let results = {
+            let work: Vec<(&LiveShard, &J, &Mutex<ColumnarBatch>)> = jobs
+                .iter()
+                .zip(&arenas)
+                .map(|((s, input), arena)| (&self.shards[*s], input, arena))
+                .collect();
+            parallel_map(
+                &work,
+                self.engine.budget().threads(),
+                |&(shard, input, arena)| job(&worker, shard, input, &mut lock_scratch(arena)),
+            )
+        };
+        for (&(s, _), arena) in jobs.iter().zip(arenas) {
+            self.shards[s].arena = reclaim_scratch(arena);
+        }
+        results
+    }
+
+    /// Evaluates the stale offers of every shard and writes their values
+    /// into their slots, bumping each such shard's pass counter once.
+    /// Current slots are not touched — this is the "one offer per
     /// single-offer update" contract.
     fn refresh_dirty(&mut self) {
-        let dirty: Vec<usize> = self
+        let jobs: Vec<(usize, Vec<usize>)> = self
             .shards
             .iter()
             .enumerate()
-            .filter(|(_, shard)| shard.cache.is_none())
-            .map(|(i, _)| i)
+            .map(|(s, shard)| (s, shard.stale_slots()))
+            .filter(|(_, slots)| !slots.is_empty())
             .collect();
-        if dirty.is_empty() {
+        if jobs.is_empty() {
             return;
         }
-        let worker = Engine::new(self.engine.budget().per_shard(dirty.len()));
         let measures = all_measures();
-        // Each dirty shard's arena is taken out of the shard (and wrapped
-        // for the fan-out) so a worker can mutate it while the shard's
-        // offers stay borrowed, then handed back below — the buffers
-        // survive the round trip, which is what makes steady-state
-        // refreshes allocation-free in the kernels.
-        let arenas: Vec<Mutex<ColumnarBatch>> = dirty
-            .iter()
-            .map(|&i| Mutex::new(std::mem::take(&mut self.shards[i].arena)))
+        let values = self.fan_out(&jobs, |engine, shard, slots, arena| {
+            if slots.len() == shard.offers.len() {
+                engine.per_offer_columns_in(arena, &shard.offers, &measures)
+            } else {
+                let picked: Vec<FlexOffer> =
+                    slots.iter().map(|&i| shard.offers[i].clone()).collect();
+                engine.per_offer_columns_in(arena, &picked, &measures)
+            }
+        });
+        for ((s, slots), values) in jobs.into_iter().zip(values) {
+            self.offers_evaluated += slots.len();
+            self.shards[s].store(&slots, values);
+        }
+    }
+
+    /// Computes the baseline partial of every shard that lacks one.
+    fn ensure_baselines(&mut self) {
+        let jobs: Vec<(usize, ())> = (0..self.shards.len())
+            .filter(|&s| self.shards[s].baseline.is_none())
+            .map(|s| (s, ()))
             .collect();
-        let computed: Vec<ShardCache> = {
-            let work: Vec<(&[FlexOffer], &Mutex<ColumnarBatch>)> = dirty
-                .iter()
-                .zip(&arenas)
-                .map(|(&i, arena)| (&self.shards[i].offers[..], arena))
-                .collect();
-            parallel_map(&work, self.engine.budget().threads(), |&(offers, arena)| {
-                let mut arena = lock_scratch(arena);
-                ShardCache {
-                    rows: worker.per_offer_rows_in(&mut arena, offers, &measures),
-                    baseline: if offers.is_empty() {
-                        baseline_load(&[])
-                    } else {
-                        worker.baseline_load_parallel_in(&mut arena, offers)
-                    },
-                }
-            })
-        };
-        for ((i, cache), arena) in dirty.into_iter().zip(computed).zip(arenas) {
-            self.shards[i].cache = Some(cache);
-            self.shards[i].evaluations += 1;
-            self.shards[i].arena = reclaim_scratch(arena);
+        let partials = self.fan_out(&jobs, |engine, shard, (), arena| {
+            if shard.offers.is_empty() {
+                baseline_load(&[])
+            } else {
+                engine.baseline_load_parallel_in(arena, &shard.offers)
+            }
+        });
+        for ((s, ()), partial) in jobs.into_iter().zip(partials) {
+            self.shards[s].baseline = Some(partial);
         }
     }
 
-    /// Cached per-offer measure rows in logical portfolio order. Callers
-    /// must [`refresh_dirty`](Self::refresh_dirty) first.
-    fn gather_rows(&self) -> Vec<Row> {
-        self.owners
-            .values()
-            .map(|&(s, local)| {
-                self.shards[s].cache.as_ref().expect("refreshed").rows[local].clone()
-            })
-            .collect()
-    }
-
-    /// Fills the grouping cache if a mutation invalidated it: the
-    /// tolerance grouping as positions into the logical portfolio. The
-    /// sweep runs over the already-sorted [`KeyIndex`] — no per-query
-    /// sort — and id order is position order, so the groups are exactly
-    /// [`flexoffers_aggregation::group_keys`] over the logical portfolio.
-    /// Borrow the result with [`cached_groups`](Self::cached_groups) —
-    /// the warm path is allocation-free.
-    fn ensure_groups(&mut self) {
-        if self.groups_cache.is_some() {
-            return;
-        }
-        let ids: Vec<u64> = self.owners.keys().copied().collect();
-        let groups: Vec<Vec<usize>> = self
-            .keys
-            .group_ids(&self.config.grouping)
+    /// Brings the grouping and one aggregate per group up to date. A
+    /// stale grouping is re-swept over the already-sorted [`KeyIndex`]
+    /// (no per-query sort; id order is position order, so the groups are
+    /// exactly [`flexoffers_aggregation::group_keys`] over the logical
+    /// portfolio). A previous aggregate is reused when its group's
+    /// member-id list is unchanged and no member was touched since; the
+    /// rest are rebuilt in parallel from borrowed offers.
+    fn ensure_aggregates(&mut self) {
+        let mut kept: Vec<Option<Aggregate>> = std::mem::take(&mut self.aggregates)
             .into_iter()
-            .map(|group| {
-                group
-                    .into_iter()
-                    .map(|id| ids.binary_search(&id).expect("grouped ids are live"))
-                    .collect()
-            })
+            .map(Some)
             .collect();
-        self.groups_cache = Some(groups);
+        if !self.groups_valid {
+            let previous =
+                std::mem::replace(&mut self.groups, self.keys.group_ids(&self.config.grouping));
+            // Groups partition the ids, so a first member names at most
+            // one previous group.
+            let by_first: HashMap<u64, usize> = previous
+                .iter()
+                .enumerate()
+                .filter(|&(g, _)| g < kept.len())
+                .map(|(g, members)| (members[0], g))
+                .collect();
+            kept = self
+                .groups
+                .iter()
+                .map(|members| {
+                    let &g = by_first.get(&members[0])?;
+                    if previous[g] == *members {
+                        kept[g].take()
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            self.groups_valid = true;
+        } else if kept.is_empty() {
+            kept = self.groups.iter().map(|_| None).collect();
+        }
+        for id in std::mem::take(&mut self.touched) {
+            if let Some(g) = self.group_of(id) {
+                kept[g] = None;
+            }
+        }
+        let stale: Vec<usize> = (0..kept.len()).filter(|&g| kept[g].is_none()).collect();
+        let built = parallel_map(&stale, self.engine.budget().threads(), |&g| {
+            let members: Vec<&FlexOffer> =
+                self.groups[g].iter().map(|&id| self.offer(id)).collect();
+            aggregate_refs(&members).expect("grouping never yields empty groups")
+        });
+        for (g, aggregate) in stale.into_iter().zip(built) {
+            kept[g] = Some(aggregate);
+        }
+        self.aggregates = kept
+            .into_iter()
+            .map(|aggregate| aggregate.expect("every group aggregated"))
+            .collect();
     }
 
-    /// The cached grouping; callers run
-    /// [`ensure_groups`](Self::ensure_groups) first.
-    fn cached_groups(&self) -> &[Vec<usize>] {
-        self.groups_cache.as_deref().expect("ensure_groups ran")
-    }
-
-    /// Aggregates every group in parallel, members gathered through the
-    /// owner table in group order — the live counterpart of the batch
-    /// book's per-group aggregation, same output order and content.
-    fn aggregate_groups(&self, groups: &[Vec<usize>]) -> Vec<Aggregate> {
-        let flat: Vec<&FlexOffer> = self
-            .owners
-            .values()
-            .map(|&(s, local)| &self.shards[s].offers[local])
-            .collect();
-        parallel_map(groups, self.engine.budget().threads(), |indices| {
-            let members: Vec<FlexOffer> = indices.iter().map(|&g| flat[g].clone()).collect();
-            aggregate(&members).expect("grouping never yields empty groups")
-        })
+    /// The index of the current group holding live id `id`, or `None`
+    /// when `id` is not live. Groups are consecutive runs of the
+    /// `(key, id)` order, so the holder is the last group whose first
+    /// entry does not sort after `id`'s.
+    fn group_of(&self, id: u64) -> Option<usize> {
+        if !self.owners.contains(id) {
+            return None;
+        }
+        let entry = (grouping_key(self.offer(id)), id);
+        let after = self.groups.partition_point(|members| {
+            let first = members[0];
+            (grouping_key(self.offer(first)), first) <= entry
+        });
+        after.checked_sub(1)
     }
 
     /// The merge tier's scatter: per-shard results reassembled into
-    /// logical portfolio order through the id ranks.
-    fn scatter<T>(&self, per_shard: Vec<Vec<T>>) -> Vec<T> {
-        let ids: Vec<u64> = self.owners.keys().copied().collect();
+    /// logical portfolio order (`ids`, the live ids ascending) through the
+    /// id ranks.
+    fn scatter<T>(&self, ids: &[u64], per_shard: Vec<Vec<T>>) -> Vec<T> {
         let mut out: Vec<Option<T>> = (0..ids.len()).map(|_| None).collect();
         for (shard, results) in self.shards.iter().zip(per_shard) {
             assert_eq!(shard.ids.len(), results.len(), "one result per offer");
@@ -1033,9 +1327,10 @@ mod tests {
         book.answer(QueryKind::Measure);
         let warm = book.evaluations();
         assert!(warm.iter().all(|&e| e == 1), "first query evaluates all");
+        assert_eq!(book.offers_evaluated(), 40);
 
         let victim = ids[7];
-        let &(victim_shard, _) = book.owners.get(&victim).unwrap();
+        let (victim_shard, _) = book.owners.get(victim).unwrap();
         book.update(victim, offer(9, 1, 1)).unwrap();
         book.answer(QueryKind::Measure);
         let after = book.evaluations();
@@ -1046,10 +1341,44 @@ mod tests {
                 assert_eq!(a, w, "clean shard {s} must not re-evaluate");
             }
         }
+        assert_eq!(book.offers_evaluated(), 41, "only the updated offer");
 
         // A query with nothing dirty evaluates nothing.
         book.answer(QueryKind::Measure);
         assert_eq!(book.evaluations(), after);
+    }
+
+    #[test]
+    fn the_owner_table_keeps_id_order_through_tombstones() {
+        let mut owners = Owners::default();
+        for id in 0..200u64 {
+            owners.insert(id, (id % 3) as usize, id as usize);
+        }
+        // Out-of-order inserts land in place; re-inserting moves a slot.
+        owners.insert(500, 1, 9);
+        owners.insert(300, 2, 8);
+        owners.insert(5, 0, 77);
+        assert_eq!(owners.get(5), Some((0, 77)));
+        assert_eq!(owners.len(), 202);
+        // Bury enough to force a compaction, then revive a buried id.
+        for id in 0..150u64 {
+            let slot = if id == 5 {
+                (0, 77)
+            } else {
+                ((id % 3) as usize, id as usize)
+            };
+            assert_eq!(owners.bury(id), Some(slot));
+            owners.compact();
+        }
+        assert!(owners.entries.len() < 150, "tombstones were dropped");
+        assert_eq!(owners.bury(7), None, "already buried");
+        owners.insert(7, 1, 1);
+        let ids: Vec<u64> = owners.iter().map(|(id, _, _)| id).collect();
+        let mut expected: Vec<u64> = (150..200).chain([7, 300, 500]).collect();
+        expected.sort_unstable();
+        assert_eq!(ids, expected);
+        assert_eq!(owners.len(), expected.len());
+        assert!(!owners.contains(0));
     }
 
     #[test]
@@ -1156,18 +1485,46 @@ mod tests {
     }
 
     #[test]
-    fn refresh_warms_the_export_without_a_query() {
+    fn refresh_evaluates_stale_offers_without_a_query() {
         let mut book = book(2);
         for i in 0..8 {
             book.add(offer(i, 2, 1));
         }
-        assert!(book.export().shards.iter().all(|s| s.cache.is_none()));
+        assert_eq!(book.offers_evaluated(), 0, "mutations evaluate nothing");
         book.refresh();
-        assert!(book.export().shards.iter().all(|s| s.cache.is_some()));
-        // The refreshed caches are the ones a query would have computed.
+        assert_eq!(book.offers_evaluated(), 8);
+        // The refreshed values are the ones a query would have computed.
         let evals = book.evaluations();
         book.answer(QueryKind::Measure);
-        assert_eq!(book.evaluations(), evals, "query found everything warm");
+        assert_eq!(book.evaluations(), evals, "query found everything current");
+        assert_eq!(book.offers_evaluated(), 8);
+    }
+
+    #[test]
+    fn removes_keep_the_columns_aligned_with_the_offers() {
+        // Remove current and stale slots, including ones whose swap moves
+        // a stale tail into a current hole, then compare with the batch
+        // oracle.
+        let mut live = book(2);
+        for i in 0..12 {
+            live.add(offer(i % 4, i % 3, i - 6));
+        }
+        live.refresh();
+        live.update(1, offer(7, 1, 2)).unwrap();
+        live.add(offer(3, 3, 3));
+        live.remove(0).unwrap();
+        live.remove(12).unwrap();
+        live.remove(5).unwrap();
+        live.update(9, offer(2, 2, -2)).unwrap();
+        let evaluated = live.offers_evaluated();
+        let logical = live.to_portfolio();
+        let config = ServeConfig::default();
+        for kind in QueryKind::all() {
+            let oracle =
+                crate::batch::answer(&Engine::sequential(), &config, logical.as_slice(), kind);
+            assert_eq!(live.answer(kind), oracle, "{kind}");
+        }
+        assert_eq!(live.offers_evaluated() - evaluated, 2, "updates 1 and 9");
     }
 
     #[test]
@@ -1189,9 +1546,9 @@ mod tests {
         for kind in QueryKind::all() {
             assert_eq!(revived.answer(kind), book.answer(kind), "{kind}");
         }
-        // A warm export revives with warm caches: the first measure query
-        // re-evaluates nothing.
-        assert!(revived.evaluations().iter().all(|&e| e == 0));
+        // An export carries no cache: the revived book evaluated every
+        // offer exactly once, on its first query.
+        assert_eq!(revived.offers_evaluated(), revived.len());
         // And mutation after import keeps going where the export left off.
         let id = revived.add(offer(1, 1, 0));
         assert_eq!(id, 20, "ids continue past the exported counter");
@@ -1253,7 +1610,6 @@ mod tests {
         let wrong = (stable_shard(moved, 3) + 1) % 3;
         misplaced.shards[wrong].ids.push(moved);
         misplaced.shards[wrong].offers.push(moved_offer);
-        misplaced.shards[wrong].cache = None;
         let err = import(misplaced).unwrap_err();
         assert_eq!(err, ImportError::MisplacedId { id: moved });
 
@@ -1262,29 +1618,15 @@ mod tests {
         let dup_offer = duplicated.shards[0].offers[0].clone();
         duplicated.shards[0].ids.push(dup);
         duplicated.shards[0].offers.push(dup_offer);
-        duplicated.shards[0].cache = None;
         assert_eq!(
             import(duplicated).unwrap_err(),
             ImportError::DuplicateId { id: dup }
         );
 
-        let mut ragged = export.clone();
-        ragged.shards[full].offers.pop();
+        let mut ragged = export;
         ragged.shards[full].ids.pop();
         assert_eq!(
             import(ragged).unwrap_err(),
-            ImportError::CacheShape { shard: full }
-        );
-
-        let mut short_rows = export;
-        short_rows.shards[full]
-            .cache
-            .as_mut()
-            .expect("caches were warmed")
-            .rows
-            .pop();
-        assert_eq!(
-            import(short_rows).unwrap_err(),
             ImportError::CacheShape { shard: full }
         );
     }
@@ -1306,6 +1648,7 @@ mod tests {
             reference.export(),
         )
         .unwrap();
+        merged.refresh();
 
         reference.update(3, offer(9, 2, 2)).unwrap();
         reference.remove(7).unwrap();
@@ -1323,13 +1666,13 @@ mod tests {
             merged.import_shard(s, reference.export_shard(s)).unwrap();
         }
         assert_eq!(merged.export(), reference.export(), "state converges");
-        let evals_before = merged.evaluations();
+        let evaluated = merged.offers_evaluated();
         for kind in QueryKind::all() {
             assert_eq!(merged.answer(kind), reference.answer(kind), "{kind}");
         }
-        // The imported caches were warm, so the merged book re-evaluated
-        // nothing — the O(dirty) contract.
-        assert_eq!(merged.evaluations(), evals_before);
+        // Unchanged offers kept their values through the import, so the
+        // merged book re-evaluated only the updated and the added offer.
+        assert_eq!(merged.offers_evaluated() - evaluated, 2);
     }
 
     #[test]
@@ -1373,7 +1716,6 @@ mod tests {
             .expect("another populated shard");
         invaded.ids.push(foreign.1.ids[0]);
         invaded.offers.push(foreign.1.offers[0].clone());
-        invaded.cache = None;
         invaded.key_digest = invaded
             .key_digest
             .wrapping_add(key_hash(grouping_key(&foreign.1.offers[0])));
@@ -1387,7 +1729,6 @@ mod tests {
         let future_id = (horizon..).find(|&id| stable_shard(id, 3) == full).unwrap();
         future.ids.push(future_id);
         future.offers.push(offer(1, 2, 1));
-        future.cache = None;
         future.key_digest = future
             .key_digest
             .wrapping_add(key_hash(grouping_key(&offer(1, 2, 1))));

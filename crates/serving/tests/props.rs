@@ -9,7 +9,9 @@
 //! (per-shard rows, baseline partials, key digests, grouping cache) must
 //! be invisible in the answers.
 
-use flexoffers_engine::{Budget, Engine};
+use std::collections::BTreeMap;
+
+use flexoffers_engine::{Budget, Engine, Kernel};
 use flexoffers_model::{FlexOffer, Slice};
 use flexoffers_serving::batch::{answer, answer_sharded, BatchBook};
 use flexoffers_serving::{Event, LiveBook, QueryKind, ServeConfig};
@@ -184,8 +186,10 @@ proptest! {
         }
         live.answer(QueryKind::Measure);
         let warm = live.evaluations();
+        let evaluated = live.offers_evaluated();
         live.update((pick % n) as u64, replacement).unwrap();
         live.answer(QueryKind::Measure);
+        prop_assert_eq!(live.offers_evaluated() - evaluated, 1, "exactly one offer re-evaluates");
         let after = live.evaluations();
         let bumped: usize = warm
             .iter()
@@ -198,5 +202,62 @@ proptest! {
             .into_iter()
             .sum();
         prop_assert_eq!(bumped, 1, "exactly one shard re-evaluates");
+    }
+
+    /// The merge step re-evaluates only what an image changed: after a
+    /// source book mutates, importing each of its shards into a warm copy
+    /// re-evaluates exactly the `(id, offer)` pairs the copy did not hold
+    /// before, and the copy then answers like the source.
+    #[test]
+    fn import_shard_reevaluates_exactly_the_changed_offers(
+        adds in prop::collection::vec(arb_flexoffer(), 1..16),
+        ops in arb_ops(),
+        shards in 1usize..5,
+        threads in 1usize..3,
+        kernel in 0usize..2,
+    ) {
+        let kernel = [Kernel::Scalar, Kernel::Auto][kernel];
+        let engine = Engine::new(Budget::with_threads(threads).unwrap().with_kernel(kernel));
+        let mut source = LiveBook::new(ServeConfig::default(), shards, engine).unwrap();
+        for offer in adds {
+            source.add(offer);
+        }
+        let mut merged =
+            LiveBook::from_export(ServeConfig::default(), engine, source.export()).unwrap();
+        merged.refresh();
+        let before: BTreeMap<u64, FlexOffer> =
+            merged.live_ids().into_iter().zip(merged.to_portfolio()).collect();
+
+        // Continue the source's history past its preloaded ids.
+        let mut live = source.live_ids();
+        for op in ops {
+            match op {
+                RawOp::Add(offer) => live.push(source.add(offer)),
+                RawOp::Update(pick, offer) if !live.is_empty() => {
+                    source.update(live[pick % live.len()], offer).unwrap();
+                }
+                RawOp::Remove(pick) if !live.is_empty() => {
+                    source.remove(live.swap_remove(pick % live.len())).unwrap();
+                }
+                _ => {}
+            }
+        }
+        let changed = source
+            .live_ids()
+            .into_iter()
+            .zip(source.to_portfolio())
+            .filter(|(id, offer)| before.get(id) != Some(offer))
+            .count();
+
+        merged.reserve_ids(source.next_id());
+        for s in 0..shards {
+            merged.import_shard(s, source.export_shard(s)).unwrap();
+        }
+        let evaluated = merged.offers_evaluated();
+        merged.refresh();
+        prop_assert_eq!(merged.offers_evaluated() - evaluated, changed);
+        for kind in QueryKind::all() {
+            prop_assert_eq!(merged.answer(kind), source.answer(kind), "{} diverged", kind);
+        }
     }
 }

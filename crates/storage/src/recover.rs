@@ -3,9 +3,9 @@
 //! The recovery invariant is byte-identity: the recovered book answers
 //! every query with exactly the bytes an uninterrupted run would have
 //! produced at the same point in the event stream — at any shards ×
-//! threads × kernel budget, because snapshots round-trip the cached state
-//! exactly and the replayed suffix goes through the book's ordinary
-//! mutation path.
+//! threads × kernel budget, because snapshots round-trip the offers
+//! exactly, the loaded book re-evaluates them with the same kernels, and
+//! the replayed suffix goes through the book's ordinary mutation path.
 //!
 //! Fallbacks are deliberate and silent where a crash can produce them:
 //! a missing snapshot, or a snapshot *ahead* of the journal (possible only
@@ -160,7 +160,7 @@ mod tests {
             journal.append(event).unwrap();
             mid.apply(event.clone()).unwrap();
             if i + 1 == 6 {
-                mid.answer(QueryKind::Measure); // warm caches into the snapshot
+                mid.answer(QueryKind::Measure); // a queried book snapshots its offers only
                 save_snapshot(
                     &durability.snapshot_path(),
                     &Snapshot {

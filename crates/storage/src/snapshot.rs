@@ -1,19 +1,24 @@
-//! Per-shard snapshots of the live book's incremental state.
+//! Per-shard snapshots of the live book.
 //!
-//! A snapshot is the [`BookExport`] — per-shard ids, offers, key digests,
-//! and cached measure rows / baseline partials — serialized at a recorded
-//! journal sequence number. Measure values are stored as `f64::to_bits`
-//! (exact, NaN-safe); everything else in the export is integers, so a
-//! snapshot round-trips bit for bit, which is what lets recovery answer
-//! queries byte-identically to a run that never crashed.
+//! A snapshot is the [`BookExport`] — per-shard ids, offers and key
+//! digests, plus the id counter — serialized at a recorded journal
+//! sequence number. It carries no evaluation cache: the loaded book
+//! re-evaluates its offers on the first query, which costs less than
+//! parsing the values back would. Everything in the export is integers,
+//! so a snapshot round-trips bit for bit, which is what lets recovery
+//! answer queries byte-identically to a run that never crashed.
 //!
 //! The file layout is a magic+checksum header line over a single-line JSON
 //! body:
 //!
 //! ```text
-//! flexoffers-snapshot/1 <fnv1a64 of the body, 16 hex digits>
-//! {"seq":...,"next_id":...,"shards":[...]}
+//! flexoffers-snapshot/2 <fnv1a64 of the body, 16 hex digits>
+//! {"seq":...,"next_id":...,"shards":[{"ids":[...],"offers":[...],"key_digest":...}]}
 //! ```
+//!
+//! The reader also accepts the older `flexoffers-snapshot/1` header, whose
+//! shards carry a `cache` of measure rows and a baseline; that field is
+//! ignored.
 //!
 //! Writes go through a temp file + fsync + atomic rename, so a crash
 //! mid-snapshot leaves the previous snapshot intact; any header or
@@ -26,15 +31,18 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize, Value};
 
-use flexoffers_measures::{all_measures, MeasureError};
 use flexoffers_model::FlexOffer;
-use flexoffers_serving::{BookExport, MeasureRow, ShardCacheExport, ShardExport};
-use flexoffers_timeseries::Series;
+use flexoffers_serving::{BookExport, ShardExport};
 
 use crate::error::StorageError;
 
-/// The snapshot format tag (first token of the header line).
-pub const SNAPSHOT_FORMAT: &str = "flexoffers-snapshot/1";
+/// The snapshot format tag (first token of the header line) this build
+/// writes.
+pub const SNAPSHOT_FORMAT: &str = "flexoffers-snapshot/2";
+
+/// The previous format tag, still read: its body differs only by a
+/// per-shard `cache` field the reader ignores.
+const SNAPSHOT_FORMAT_V1: &str = "flexoffers-snapshot/1";
 
 /// A book image pinned to the journal sequence it was taken at: replaying
 /// the journal suffix past `seq` on top of `export` reproduces the book.
@@ -63,36 +71,11 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-fn cell_to_value(cell: &Result<f64, MeasureError>) -> Value {
-    match cell {
-        Ok(v) => obj(vec![("bits", Value::U64(v.to_bits()))]),
-        Err(MeasureError::MixedNotSupported { measure }) => obj(vec![
-            ("err", Value::Str("mixed".to_owned())),
-            ("measure", Value::Str((*measure).to_owned())),
-        ]),
-        Err(MeasureError::UndefinedDenominator) => obj(vec![(
-            "err",
-            Value::Str("undefined_denominator".to_owned()),
-        )]),
-        Err(MeasureError::EmptySet { measure }) => obj(vec![
-            ("err", Value::Str("empty_set".to_owned())),
-            ("measure", Value::Str((*measure).to_owned())),
-        ]),
-        // `MeasureError` is non-exhaustive: a variant this build does not
-        // know gets a code the loader rejects by name — a snapshot must
-        // never silently drop error detail.
-        Err(other) => obj(vec![
-            ("err", Value::Str("other".to_owned())),
-            ("message", Value::Str(other.to_string())),
-        ]),
-    }
-}
-
 /// Encodes a [`BookExport`] as the snapshot body's JSON value
-/// (`{"next_id":…,"shards":[…]}`, measure cells as `f64::to_bits`) —
-/// public because this *is* the shard wire format: a snapshot pins it to
-/// a journal seq on disk, and a cluster shard worker ships the same value
-/// over its pipe. One codec, so the two cannot drift.
+/// (`{"next_id":…,"shards":[…]}`) — public because this *is* the shard
+/// wire format: a snapshot pins it to a journal seq on disk, and a cluster
+/// shard worker ships the same value over its pipe. One codec, so the two
+/// cannot drift.
 pub fn export_to_value(export: &BookExport) -> Value {
     let shards: Vec<Value> = export.shards.iter().map(shard_to_value).collect();
     obj(vec![
@@ -106,22 +89,6 @@ pub fn export_to_value(export: &BookExport) -> Value {
 /// serialize just its own shard (the other entries of its book are empty)
 /// and so [`shard_digest`] has a canonical body to hash.
 pub fn shard_to_value(shard: &ShardExport) -> Value {
-    let cache = match &shard.cache {
-        None => Value::Null,
-        Some(cache) => obj(vec![
-            (
-                "rows",
-                Value::Array(
-                    cache
-                        .rows
-                        .iter()
-                        .map(|row| Value::Array(row.iter().map(cell_to_value).collect()))
-                        .collect(),
-                ),
-            ),
-            ("baseline", cache.baseline.to_value()),
-        ]),
-    };
     obj(vec![
         (
             "ids",
@@ -132,17 +99,16 @@ pub fn shard_to_value(shard: &ShardExport) -> Value {
             Value::Array(shard.offers.iter().map(Serialize::to_value).collect()),
         ),
         ("key_digest", Value::U64(shard.key_digest)),
-        ("cache", cache),
     ])
 }
 
 /// The shard **state digest** the conditional gather protocol compares:
 /// FNV-1a 64 over the canonical single-line JSON of [`shard_to_value`].
-/// Because the body embeds the offers, the cached rows/baseline, *and*
-/// the commutative `key_digest`, two shards with equal digests answer
-/// every query identically (up to the 2⁻⁶⁴ collision odds any content
-/// hash accepts). Both sides of the pipe can compute it: the worker from
-/// its own shard, the supervisor from a cached or legacy full export.
+/// Because the body embeds the ids, the offers *and* the commutative
+/// `key_digest`, two shards with equal digests answer every query
+/// identically (up to the 2⁻⁶⁴ collision odds any content hash accepts).
+/// Both sides of the pipe can compute it: the worker from its own shard,
+/// the supervisor from a cached or legacy full export.
 pub fn shard_digest(shard: &ShardExport) -> u64 {
     let body = serde_json::to_string(&shard_to_value(shard)).expect("shard values serialize");
     fnv1a64(body.as_bytes())
@@ -183,45 +149,12 @@ fn as_array<'v>(v: &'v Value, name: &str) -> Result<&'v [Value], String> {
     }
 }
 
-/// Maps a snapshot's stored measure name back to the engine's own
-/// `&'static str` — the names form a closed set ([`all_measures`]).
-fn static_measure_name(name: &str) -> Result<&'static str, String> {
-    all_measures()
-        .iter()
-        .map(|m| m.short_name())
-        .find(|&short| short == name)
-        .ok_or_else(|| format!("unknown measure name `{name}`"))
-}
-
-fn value_to_cell(v: &Value) -> Result<Result<f64, MeasureError>, String> {
-    if let Some(bits) = v.get("bits") {
-        return Ok(Ok(f64::from_bits(as_u64(bits, "bits")?)));
-    }
-    let err = field(v, "err")?.as_str().ok_or("`err`: expected string")?;
-    let measure = || -> Result<&'static str, String> {
-        static_measure_name(
-            field(v, "measure")?
-                .as_str()
-                .ok_or("`measure`: expected string")?,
-        )
-    };
-    match err {
-        "mixed" => Ok(Err(MeasureError::MixedNotSupported {
-            measure: measure()?,
-        })),
-        "undefined_denominator" => Ok(Err(MeasureError::UndefinedDenominator)),
-        "empty_set" => Ok(Err(MeasureError::EmptySet {
-            measure: measure()?,
-        })),
-        other => Err(format!("unknown measure error code `{other}`")),
-    }
-}
-
 /// Decodes a [`BookExport`] from its [`export_to_value`] encoding; every
 /// failure is a message, never a panic — the input may be a tampered
-/// snapshot body or a worker's wire frame. Structural invariants (shard
-/// placement, digests, …) are *not* checked here: that is
-/// [`LiveBook::from_export`](flexoffers_serving::LiveBook::from_export)'s
+/// snapshot body or a worker's wire frame. Fields it does not know (the
+/// `cache` of a `flexoffers-snapshot/1` shard) are ignored. Structural
+/// invariants (shard placement, digests, …) are *not* checked here: that
+/// is [`LiveBook::from_export`](flexoffers_serving::LiveBook::from_export)'s
 /// job, and the cluster tier relies on it.
 pub fn value_to_export(v: &Value) -> Result<BookExport, String> {
     let next_id = as_u64(field(v, "next_id")?, "next_id")?;
@@ -242,30 +175,10 @@ pub fn value_to_export(v: &Value) -> Result<BookExport, String> {
             .map_err(at)?;
         let key_digest =
             as_u64(field(shard, "key_digest").map_err(at)?, "key_digest").map_err(at)?;
-        let cache = match field(shard, "cache").map_err(at)? {
-            Value::Null => None,
-            cache => {
-                let rows = as_array(field(cache, "rows").map_err(at)?, "rows")
-                    .map_err(at)?
-                    .iter()
-                    .map(|row| {
-                        as_array(row, "rows[]")?
-                            .iter()
-                            .map(value_to_cell)
-                            .collect::<Result<MeasureRow, String>>()
-                    })
-                    .collect::<Result<Vec<MeasureRow>, String>>()
-                    .map_err(at)?;
-                let baseline = Series::<i64>::from_value(field(cache, "baseline").map_err(at)?)
-                    .map_err(|e| at(format!("baseline: {e}")))?;
-                Some(ShardCacheExport { rows, baseline })
-            }
-        };
         shards.push(ShardExport {
             ids,
             offers,
             key_digest,
-            cache,
         });
     }
     Ok(BookExport { next_id, shards })
@@ -306,8 +219,9 @@ pub fn save_snapshot(path: &Path, snapshot: &Snapshot) -> Result<(), StorageErro
     Ok(())
 }
 
-/// Loads a snapshot. A missing file is `Ok(None)` (recovery replays the
-/// whole journal); a present-but-invalid file is the named
+/// Loads a snapshot written as `flexoffers-snapshot/2` or `/1`. A missing
+/// file is `Ok(None)` (recovery replays the whole journal); a
+/// present-but-invalid file is the named
 /// [`StorageError::CorruptSnapshot`].
 pub fn load_snapshot(path: &Path) -> Result<Option<Snapshot>, StorageError> {
     let corrupt = |message: String| StorageError::CorruptSnapshot {
@@ -326,7 +240,7 @@ pub fn load_snapshot(path: &Path) -> Result<Option<Snapshot>, StorageError> {
     let (magic, checksum) = header
         .split_once(' ')
         .ok_or_else(|| corrupt("malformed header".to_owned()))?;
-    if magic != SNAPSHOT_FORMAT {
+    if magic != SNAPSHOT_FORMAT && magic != SNAPSHOT_FORMAT_V1 {
         return Err(corrupt(format!("unknown format `{magic}`")));
     }
     let body = body.strip_suffix('\n').unwrap_or(body);
@@ -351,7 +265,7 @@ mod tests {
     use flexoffers_model::Slice;
     use flexoffers_serving::{LiveBook, QueryKind, ServeConfig};
 
-    fn warm_export() -> BookExport {
+    fn sample_export() -> BookExport {
         let mut book = LiveBook::new(ServeConfig::default(), 3, Engine::sequential()).unwrap();
         for i in 0..12 {
             book.add(FlexOffer::new(i, i + 2, vec![Slice::new(-1, 2).unwrap()]).unwrap());
@@ -367,7 +281,7 @@ mod tests {
         let path = dir.path().join("book.snap");
         let snapshot = Snapshot {
             seq: 13,
-            export: warm_export(),
+            export: sample_export(),
         };
         save_snapshot(&path, &snapshot).unwrap();
         let loaded = load_snapshot(&path).unwrap().expect("present");
@@ -376,7 +290,7 @@ mod tests {
         // Overwrite is atomic and the second image wins.
         let newer = Snapshot {
             seq: 14,
-            export: warm_export(),
+            export: sample_export(),
         };
         save_snapshot(&path, &newer).unwrap();
         assert_eq!(load_snapshot(&path).unwrap().unwrap().seq, 14);
@@ -384,7 +298,7 @@ mod tests {
 
     #[test]
     fn the_export_codec_round_trips_standalone() {
-        let export = warm_export();
+        let export = sample_export();
         let value = export_to_value(&export);
         assert_eq!(value_to_export(&value).unwrap(), export);
         // Through JSON text, exactly as a worker's pipe would carry it.
@@ -401,7 +315,7 @@ mod tests {
 
     #[test]
     fn shard_values_are_exactly_the_export_entries_and_digests_track_content() {
-        let export = warm_export();
+        let export = sample_export();
         let Value::Array(entries) = field(&export_to_value(&export), "shards").unwrap().clone()
         else {
             panic!("shards is an array")
@@ -418,33 +332,10 @@ mod tests {
             .shards
             .iter()
             .find(|s| !s.ids.is_empty())
-            .expect("warm export has offers");
+            .expect("the sample export has offers");
         let mut tweaked = populated.clone();
         tweaked.ids[0] += 1_000_000;
         assert_ne!(shard_digest(populated), shard_digest(&tweaked));
-    }
-
-    #[test]
-    fn measure_cells_round_trip_bitwise_including_errors() {
-        for cell in [
-            Ok(0.1 + 0.2), // not representable exactly in decimal
-            Ok(-0.0),
-            Ok(f64::NAN),
-            Ok(f64::INFINITY),
-            Err(MeasureError::MixedNotSupported {
-                measure: "Abs. Area",
-            }),
-            Err(MeasureError::UndefinedDenominator),
-            Err(MeasureError::EmptySet {
-                measure: "Rel. Area",
-            }),
-        ] {
-            let back = value_to_cell(&cell_to_value(&cell)).unwrap();
-            match (&cell, &back) {
-                (Ok(a), Ok(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-                _ => assert_eq!(cell, back),
-            }
-        }
     }
 
     #[test]
@@ -455,7 +346,7 @@ mod tests {
 
         let snapshot = Snapshot {
             seq: 2,
-            export: warm_export(),
+            export: sample_export(),
         };
         save_snapshot(&path, &snapshot).unwrap();
 
@@ -486,18 +377,49 @@ mod tests {
         assert!(leftovers.is_empty(), "{leftovers:?}");
     }
 
+    /// A snapshot exactly as the `/1` writer produced it: a one-shard book
+    /// of two adds, queried once, so its shard carries cached measure rows
+    /// and a baseline.
+    const V1_SNAPSHOT: &str = concat!(
+        "flexoffers-snapshot/1 82047f990f36fe24\n",
+        r#"{"seq":2,"next_id":2,"shards":[{"ids":[0,1],"offers":[{"earliest_start":2,"latest_start":5,"slices":[{"min":1,"max":3},{"min":-2,"max":2}],"total_min":0,"total_max":4},{"earliest_start":0,"latest_start":1,"slices":[{"min":-3,"max":-1}],"total_min":-3,"total_max":-1}],"key_digest":13693714730570233524,"cache":{"rows":[[{"bits":4613937818241073152},{"bits":4616189618054758400},{"bits":4622945017495814144},{"bits":4619567317775286272},{"bits":4620693217682128896},{"bits":4633641066610819072},{"bits":4626885667169763328},{"bits":4622382067542392832}],[{"bits":4607182418800017408},{"bits":4611686018427387904},{"bits":4611686018427387904},{"bits":4613937818241073152},{"bits":4616189618054758400},{"bits":4618441417868443648},{"bits":4617315517961601024},{"bits":4612811918334230528}]],"baseline":{"start":0,"values":[-2,0,2,0]}}}]}"#,
+        "\n"
+    );
+
     #[test]
-    fn unknown_measure_names_and_codes_are_rejected() {
-        let cell = obj(vec![
-            ("err", Value::Str("mixed".to_owned())),
-            ("measure", Value::Str("No Such Measure".to_owned())),
-        ]);
-        assert!(value_to_cell(&cell)
-            .unwrap_err()
-            .contains("unknown measure name"));
-        let cell = obj(vec![("err", Value::Str("out_of_cheese".to_owned()))]);
-        assert!(value_to_cell(&cell)
-            .unwrap_err()
-            .contains("unknown measure error code"));
+    fn version_one_snapshots_load_and_answer_like_a_replay() {
+        let dir = scratch_dir("snapshot_v1");
+        let path = dir.path().join("book.snap");
+        std::fs::write(&path, V1_SNAPSHOT).unwrap();
+        let loaded = load_snapshot(&path).unwrap().expect("present");
+        assert_eq!(loaded.seq, 2);
+
+        let mut replayed = LiveBook::new(ServeConfig::default(), 1, Engine::sequential()).unwrap();
+        let slices = vec![Slice::new(1, 3).unwrap(), Slice::new(-2, 2).unwrap()];
+        replayed.add(FlexOffer::with_totals(2, 5, slices, 0, 4).unwrap());
+        replayed.add(FlexOffer::new(0, 1, vec![Slice::new(-3, -1).unwrap()]).unwrap());
+        assert_eq!(loaded.export, replayed.export(), "the cache is ignored");
+
+        let mut restored =
+            LiveBook::from_export(ServeConfig::default(), Engine::sequential(), loaded.export)
+                .unwrap();
+        for kind in QueryKind::all() {
+            assert_eq!(restored.answer(kind), replayed.answer(kind), "{kind}");
+        }
+    }
+
+    #[test]
+    fn version_two_snapshots_carry_no_cache() {
+        let dir = scratch_dir("snapshot_v2");
+        let path = dir.path().join("book.snap");
+        let snapshot = Snapshot {
+            seq: 11,
+            export: sample_export(),
+        };
+        save_snapshot(&path, &snapshot).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with("flexoffers-snapshot/2 "), "{text}");
+        assert!(!text.contains("\"cache\""), "{text}");
+        assert_eq!(load_snapshot(&path).unwrap(), Some(snapshot));
     }
 }

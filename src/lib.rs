@@ -25,12 +25,13 @@
 //!   bitwise identical to the flat engine;
 //! * [`serving`] — the live tier on top: an event-driven
 //!   [`LiveBook`](serving::LiveBook) over per-shard incremental state
-//!   (cached measure rows, baseline partials, group-key digests) answering
+//!   (measure-major value columns with per-offer stale slots, cached
+//!   group aggregates, group-key digests) answering
 //!   measure/aggregate/schedule/trade queries between updates, byte-
 //!   identical to a from-scratch batch rebuild;
 //! * [`storage`] — durability for the serving tier: an append-only event
 //!   journal (itself a replayable event script), checksummed atomic
-//!   per-shard snapshots of the live cache export, and crash recovery
+//!   per-shard snapshots of the live book's offers, and crash recovery
 //!   ([`storage::recover`]) that truncates torn journal tails and
 //!   preserves byte-identity at any crash point;
 //! * [`net`] — the TCP front of the serving tier: request-id framed JSONL
@@ -39,7 +40,7 @@
 //!   wire format is specified in `docs/PROTOCOL.md`);
 //! * [`cluster`] — cross-process shard workers: a supervisor
 //!   ([`cluster::ClusterBook`]) that scatters mutations to one OS process
-//!   per shard over stdio pipes, gathers warmed shard exports per query,
+//!   per shard over stdio pipes, gathers changed shard exports per query,
 //!   merges them through the in-process engine (byte-identical answers),
 //!   and repairs worker death by respawn-and-replay.
 //!
