@@ -71,9 +71,8 @@ pub fn group_indices(offers: &[FlexOffer], params: &GroupingParams) -> Vec<Vec<u
 }
 
 /// The grouping sweep over bare `(tes, tf)` keys — the one implementation
-/// behind [`group_indices`], exposed so callers holding a *partitioned*
-/// offer book (one that never materialises a flat `&[FlexOffer]`) can still
-/// compute the exact same global grouping from 16 bytes per offer.
+/// behind [`group_indices`], and the from-scratch reference the
+/// incremental [`KeyIndex::group_ids`] must reproduce.
 ///
 /// `keys[i]` is offer `i`'s `(earliest_start, time_flexibility)`; the
 /// returned index groups are identical to what [`group_indices`] yields on

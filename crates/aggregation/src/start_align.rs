@@ -102,8 +102,8 @@ pub fn aggregate_indices(
 }
 
 /// [`aggregate`] over borrowed members — for callers whose offers live
-/// in several places (a sharded book), so the only copy made is the one
-/// the aggregate keeps.
+/// in several places (a live book's shards), so the only copy made is
+/// the one the aggregate keeps.
 pub fn aggregate_refs(members: &[&FlexOffer]) -> Result<Aggregate, AggregationError> {
     aggregate_members(members)
 }

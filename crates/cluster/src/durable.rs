@@ -4,7 +4,7 @@
 //!
 //! [`DurableCluster::open`] recovers the book **in-process** (snapshot +
 //! journal-suffix replay through the existing
-//! [`recover`](flexoffers_storage::recover) path — recovery correctness
+//! [`flexoffers_storage::recover()`] path — recovery correctness
 //! stays single-process and already-proptested), then seeds the worker
 //! fleet by routing every recovered offer under its original id. Because
 //! answers are invariant under shard-local insertion order only insofar

@@ -122,7 +122,7 @@ impl Engine {
     /// reduced off the calling thread.
     ///
     /// Each row is a pure function of its offer alone (no cross-offer
-    /// arithmetic), so rows computed shard by shard and gathered in
+    /// arithmetic), so rows computed per live shard and gathered in
     /// portfolio order are bitwise the rows of one flat pass, ready for
     /// [`reduce_measure_rows`].
     pub fn per_offer_rows(
@@ -272,10 +272,9 @@ impl Engine {
     /// reduced problem on the calling thread, realize every aggregate's
     /// plan at member level in parallel, and scatter the member
     /// assignments back to input positions. One implementation behind
-    /// [`Engine::schedule_portfolio`], the sharded
-    /// [`Engine::schedule_book`](crate::shard), and the serving tier's
-    /// incremental schedule query — so the pipeline's stages cannot drift
-    /// between the flat, sharded, and live paths.
+    /// [`Engine::schedule_portfolio`] and the serving tier's incremental
+    /// schedule query — so the pipeline's stages cannot drift between the
+    /// flat and live paths.
     pub fn schedule_aggregates(
         &self,
         aggregates: &[Aggregate],
@@ -370,14 +369,13 @@ impl Engine {
     }
 }
 
-/// The deterministic merge behind [`Engine::measure_portfolio`] and the
-/// sharded book's merge tier: rows arrive in portfolio order, and each
-/// measure's reduction walks offers in that order, mirroring its
-/// [`Measure::of_set`] semantics (short-circuit on the first error; sum,
-/// or average for relative area). Keeping the reduction in one function is
-/// what makes flat, sharded, and *incrementally cached* measurement
-/// (the serving tier feeds it rows gathered from per-shard caches)
-/// bitwise identical by construction.
+/// The deterministic merge behind [`Engine::measure_portfolio`]: rows
+/// arrive in portfolio order, and each measure's reduction walks offers in
+/// that order, mirroring its [`Measure::of_set`] semantics (short-circuit
+/// on the first error; sum, or average for relative area). Keeping the
+/// reduction in one function is what makes flat and *incrementally
+/// cached* measurement (the serving tier feeds it rows gathered from
+/// per-shard caches) bitwise identical by construction.
 pub fn reduce_measure_rows(
     measures: &[Box<dyn Measure>],
     rows: &[Vec<Result<f64, MeasureError>>],

@@ -204,8 +204,8 @@ mod tests {
 
     #[test]
     fn json_mirror_excludes_budget_and_wall_clock_fields() {
-        // The mirror must be a pure function of the portfolio so sharded,
-        // flat, and any-thread-count runs serialise to identical bytes.
+        // The mirror must be a pure function of the portfolio so flat,
+        // live, and any-thread-count runs serialise to identical bytes.
         let text = serde_json::to_string(&sample().json()).unwrap();
         assert!(!text.contains("threads"));
         assert!(!text.contains("chunk_size"));

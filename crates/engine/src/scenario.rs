@@ -8,7 +8,7 @@
 //! shape. [`Scenario`] bundles the knobs, [`Engine::simulate`] runs the
 //! selected pipeline through the parallel engine
 //! ([`Engine::schedule_portfolio`] / [`Engine::trade_portfolio`]) and
-//! returns a [`ScenarioReport`](crate::ScenarioReport).
+//! returns a [`ScenarioReport`].
 //!
 //! Everything is deterministic: the portfolio, target and price traces are
 //! pure functions of the scenario's seed, and the engine's pipelines are
@@ -22,21 +22,19 @@ use std::time::Instant;
 use flexoffers_aggregation::GroupingParams;
 use flexoffers_market::{baseline_load, Aggregator, LotDecision, SpotMarket};
 use flexoffers_measures::all_measures;
-use flexoffers_model::{Assignment, Portfolio};
+use flexoffers_model::Portfolio;
 use flexoffers_scheduling::{
-    earliest_start_assignment, EarliestStartScheduler, GreedyScheduler, HillClimbScheduler,
-    Schedule, Scheduler, SchedulingError, SchedulingProblem,
+    EarliestStartScheduler, GreedyScheduler, HillClimbScheduler, Scheduler, SchedulingError,
+    SchedulingProblem,
 };
 use flexoffers_timeseries::Series;
+use flexoffers_workloads::city;
 use flexoffers_workloads::price::{price_trace, PriceTraceConfig};
 use flexoffers_workloads::res::{res_production_trace, ResTraceConfig};
-use flexoffers_workloads::{city, city_stream};
 
-use crate::budget::EngineError;
 use crate::chunk::parallel_map;
 use crate::engine::Engine;
 use crate::scenario_report::{CorrelationSummary, MarketSummary, ScenarioReport, ScheduleSummary};
-use crate::shard::ShardedBook;
 
 /// Which of the paper's two application scenarios to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -217,8 +215,6 @@ pub enum ScenarioError {
     EmptyPortfolio,
     /// The Scenario 1 scheduler failed on the aggregate problem.
     Scheduling(SchedulingError),
-    /// The sharded run was misconfigured (e.g. a zero shard count).
-    Engine(EngineError),
 }
 
 impl fmt::Display for ScenarioError {
@@ -228,7 +224,6 @@ impl fmt::Display for ScenarioError {
                 write!(f, "empty portfolio — nothing to simulate")
             }
             ScenarioError::Scheduling(e) => write!(f, "scheduling the aggregate problem: {e}"),
-            ScenarioError::Engine(e) => write!(f, "{e}"),
         }
     }
 }
@@ -238,12 +233,6 @@ impl Error for ScenarioError {}
 impl From<SchedulingError> for ScenarioError {
     fn from(e: SchedulingError) -> Self {
         ScenarioError::Scheduling(e)
-    }
-}
-
-impl From<EngineError> for ScenarioError {
-    fn from(e: EngineError) -> Self {
-        ScenarioError::Engine(e)
     }
 }
 
@@ -289,48 +278,6 @@ impl Engine {
         }
     }
 
-    /// Runs `scenario`'s pipeline over an already-partitioned
-    /// [`ShardedBook`] — the book counterpart of
-    /// [`Engine::simulate_portfolio`], bitwise identical to it (and to the
-    /// flat [`Engine::simulate`]) for a book holding the same logical
-    /// portfolio, at any shard count and budget.
-    pub fn simulate_book(
-        &self,
-        scenario: &Scenario,
-        book: &ShardedBook,
-    ) -> Result<ScenarioReport, ScenarioError> {
-        let started = Instant::now();
-        if book.is_empty() {
-            return Err(ScenarioError::EmptyPortfolio);
-        }
-        match scenario.kind {
-            ScenarioKind::Schedule => self.simulate_schedule_book(scenario, book, started),
-            ScenarioKind::Market => Ok(self.simulate_market_book(scenario, book, started)),
-        }
-    }
-
-    /// [`Engine::simulate`] over a sharded book: the scenario's city
-    /// portfolio is *streamed* straight into `shards` hash-partitioned
-    /// shard buffers ([`ShardedBook::collect_hashed`] over
-    /// [`city_stream`] — no full-portfolio `Vec` is ever materialised),
-    /// and the selected pipeline runs through the book paths
-    /// ([`Engine::schedule_book`] / [`Engine::trade_book`]).
-    ///
-    /// The report is **bitwise identical** to the unsharded
-    /// [`Engine::simulate`] of the same scenario at any shard count,
-    /// thread count and chunk size — the `--json` mirror `cmp`s equal in
-    /// CI. A zero shard count is rejected with
-    /// [`ScenarioError::Engine`]\([`EngineError::ZeroShards`]).
-    pub fn simulate_sharded(
-        &self,
-        scenario: &Scenario,
-        shards: usize,
-    ) -> Result<ScenarioReport, ScenarioError> {
-        let book =
-            ShardedBook::collect_hashed(city_stream(scenario.seed, scenario.households), shards)?;
-        self.simulate_book(scenario, &book)
-    }
-
     fn simulate_schedule(
         &self,
         scenario: &Scenario,
@@ -369,55 +316,9 @@ impl Engine {
         ))
     }
 
-    fn simulate_schedule_book(
-        &self,
-        scenario: &Scenario,
-        book: &ShardedBook,
-        started: Instant,
-    ) -> Result<ScenarioReport, ScenarioError> {
-        let target = scenario.target_for(book.len());
-        let scheduler = scenario.scheduler.build();
-        let outcome = self.schedule_book(book, &target, &scenario.grouping, scheduler.as_ref())?;
-
-        // The earliest-start baseline is a pure per-offer function:
-        // per-shard workers compute their own assignments, the merge tier
-        // scatters them to logical order — the same schedule
-        // `EarliestStartScheduler` produces on the flat portfolio.
-        let per_shard: Vec<Vec<Assignment>> =
-            parallel_map(book.shards(), self.budget().threads(), |shard| {
-                shard
-                    .offers()
-                    .iter()
-                    .map(earliest_start_assignment)
-                    .collect()
-            });
-        let baseline = Schedule::new(book.scatter(per_shard));
-        let imbalance_before = baseline.imbalance(&target);
-        let imbalance_after = outcome.schedule.imbalance(&target);
-
-        let rows = flatten_rows(self.book_rows(book, &all_measures()));
-        let shifts: Vec<f64> = outcome
-            .schedule
-            .assignments()
-            .iter()
-            .enumerate()
-            .map(|(g, a)| (a.start() - book.offer(g).earliest_start()) as f64)
-            .collect();
-        Ok(self.schedule_report(
-            scenario,
-            book.len(),
-            &outcome,
-            imbalance_before,
-            imbalance_after,
-            &rows,
-            &shifts,
-            started,
-        ))
-    }
-
     /// Assembles the Scenario 1 report from an already-run pipeline — one
-    /// code path for the flat, sharded, *and live-serving* paths, so their
-    /// reports cannot drift. `rows` are the per-offer measure values
+    /// code path for the flat and the live-serving paths, so their reports
+    /// cannot drift. `rows` are the per-offer measure values
     /// (errors flattened, see [`flatten_rows`]) and `shifts` the realized
     /// start shifts, both in portfolio order.
     #[allow(clippy::too_many_arguments)]
@@ -464,21 +365,9 @@ impl Engine {
         self.market_report(scenario, offers.len(), &aggregates, &baseline, started)
     }
 
-    fn simulate_market_book(
-        &self,
-        scenario: &Scenario,
-        book: &ShardedBook,
-        started: Instant,
-    ) -> ScenarioReport {
-        let aggregator = scenario.aggregator();
-        let aggregates = self.aggregate_book(book, &aggregator.grouping);
-        let baseline = self.baseline_load_book(book);
-        self.market_report(scenario, book.len(), &aggregates, &baseline, started)
-    }
-
     /// Runs the market evaluation over already-gathered aggregates and
-    /// assembles the Scenario 2 report — one code path for the flat,
-    /// sharded, *and live-serving* paths, so their reports cannot drift.
+    /// assembles the Scenario 2 report — one code path for the flat and
+    /// the live-serving paths, so their reports cannot drift.
     /// `baseline` is the portfolio's no-flexibility load (callers with a
     /// partitioned book fold per-shard partials; integer series addition
     /// makes any partition exact).
@@ -572,8 +461,8 @@ pub fn flatten_rows(
 
 /// Pearson correlation of each measure's column in `rows` against `ys`,
 /// skipping rows where the measure errored or either side is non-finite.
-/// One implementation for the flat, sharded, and live-serving report
-/// paths, so their correlation tables cannot drift.
+/// One implementation for the flat and the live-serving report paths, so
+/// their correlation tables cannot drift.
 pub fn correlate(rows: &[Vec<Option<f64>>], ys: &[f64]) -> Vec<CorrelationSummary> {
     all_measures()
         .iter()
@@ -703,41 +592,5 @@ mod tests {
                 "{kind} scenario diverged across thread counts"
             );
         }
-    }
-
-    #[test]
-    fn simulate_sharded_is_bitwise_identical_to_flat_simulate() {
-        for kind in [ScenarioKind::Schedule, ScenarioKind::Market] {
-            let s = Scenario::city_portfolio(kind, 40);
-            let flat = Engine::new(Budget::with_threads(2).unwrap())
-                .simulate(&s)
-                .unwrap();
-            for shards in [1, 3, 8, 200] {
-                let sharded = Engine::new(Budget::with_threads(4).unwrap())
-                    .simulate_sharded(&s, shards)
-                    .unwrap();
-                assert_eq!(
-                    serde_json::to_string(&flat.json()).unwrap(),
-                    serde_json::to_string(&sharded.json()).unwrap(),
-                    "{kind} scenario diverged at {shards} shards"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn simulate_sharded_rejects_zero_shards_and_empty_portfolios() {
-        let s = Scenario::city_portfolio(ScenarioKind::Market, 40);
-        let err = Engine::sequential().simulate_sharded(&s, 0).unwrap_err();
-        assert_eq!(err, ScenarioError::Engine(EngineError::ZeroShards));
-        assert!(err.to_string().contains("shard count must be at least 1"));
-
-        let empty = Scenario::city_portfolio(ScenarioKind::Schedule, 0);
-        assert_eq!(
-            Engine::sequential()
-                .simulate_sharded(&empty, 4)
-                .unwrap_err(),
-            ScenarioError::EmptyPortfolio
-        );
     }
 }

@@ -48,8 +48,8 @@ pub(crate) fn fit_totals(fo: &FlexOffer, mut values: Vec<Energy>) -> Vec<Energy>
 /// The baseline assignment for one flex-offer: earliest start, midpoint
 /// amounts clamped into the total-energy window. A pure per-offer function
 /// — [`EarliestStartScheduler`] maps it over the problem, and partitioned
-/// evaluators (the engine's sharded book) map it per shard and scatter,
-/// producing the exact same schedule.
+/// evaluators (the serving tier's live book) map it per shard and
+/// scatter, producing the exact same schedule.
 pub fn earliest_start_assignment(fo: &FlexOffer) -> Assignment {
     let midpoints: Vec<Energy> = fo.slices().iter().map(|s| s.midpoint()).collect();
     Assignment::new(fo.earliest_start(), fit_totals(fo, midpoints))

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use flexoffers_engine::{Engine, EngineError, Partitioner, ScenarioKind, ShardedBook};
+use flexoffers_engine::{Engine, ScenarioKind};
 use flexoffers_model::{FlexOffer, Portfolio};
 
 use crate::config::ServeConfig;
@@ -43,38 +43,6 @@ pub fn answer(
             }
         }
     }
-}
-
-/// Like [`answer`], but through a **freshly partitioned**
-/// [`ShardedBook`] and the engine's book pipelines — the other
-/// from-scratch oracle (the acceptance bar is byte-identity against both
-/// the flat engine and a fresh book build, at any shard count).
-pub fn answer_sharded(
-    engine: &Engine,
-    config: &ServeConfig,
-    offers: &[FlexOffer],
-    shards: usize,
-    kind: QueryKind,
-) -> Result<String, EngineError> {
-    let book = ShardedBook::partition(offers, shards, &Partitioner::HashById)?;
-    Ok(match kind {
-        QueryKind::Measure => answer_line(kind, &engine.measure_book_all(&book).json()),
-        QueryKind::Aggregate => {
-            let aggregates = engine.aggregate_book(&book, &config.grouping);
-            answer_line(kind, &aggregate_report(offers.len(), &aggregates))
-        }
-        QueryKind::Schedule | QueryKind::Trade => {
-            let scenario_kind = match kind {
-                QueryKind::Schedule => ScenarioKind::Schedule,
-                _ => ScenarioKind::Market,
-            };
-            let scenario = config.scenario(scenario_kind);
-            match engine.simulate_book(&scenario, &book) {
-                Ok(report) => answer_line(kind, &report.json()),
-                Err(e) => error_line(kind, &e.to_string()),
-            }
-        }
-    })
 }
 
 /// A replay sink with the exact event contract of

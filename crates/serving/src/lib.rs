@@ -1,21 +1,18 @@
-//! `flexoffers_serving` — the live serving tier on top of the sharded
-//! engine.
+//! `flexoffers_serving` — the live serving tier on top of the engine.
 //!
 //! The paper's measures are defined over a portfolio *snapshot*; a
 //! production flexibility platform receives a continuous stream of
 //! flex-offers (adds, revisions, withdrawals) and must answer
-//! measure/schedule/trade queries *between* updates. Rebuilding a
-//! [`ShardedBook`](flexoffers_engine::ShardedBook) and restarting the batch
-//! pipelines on every query throws away almost all of the previous
-//! evaluation: a single-offer update invalidates one offer's values, not
-//! the book's.
+//! measure/schedule/trade queries *between* updates. Rebuilding the
+//! portfolio and restarting the batch pipelines on every query throws away
+//! almost all of the previous evaluation: a single-offer update
+//! invalidates one offer's values, not the book's.
 //!
 //! This crate keeps exactly that incremental state:
 //!
-//! * [`LiveBook`] — the event-driven book. Adds route through the same
-//!   stable hash placement a batch
-//!   [`collect_hashed`](flexoffers_engine::ShardedBook::collect_hashed)
-//!   build uses ([`stable_shard`](flexoffers_engine::stable_shard)); each
+//! * [`LiveBook`] — the event-driven book. Adds route to a shard by a
+//!   stable hash of their id
+//!   ([`stable_shard`](flexoffers_engine::stable_shard)); each
 //!   shard keeps its offers' **measure values in measure-major columns**
 //!   with a per-offer stale flag, so a query evaluates only the offers
 //!   mutated since the last one and folds the rest straight off the

@@ -1,13 +1,11 @@
 //! The live book: incremental per-shard state between queries.
 //!
-//! A [`LiveBook`] is the event-driven counterpart of a batch
-//! [`ShardedBook`](flexoffers_engine::ShardedBook). Offers carry stable
-//! logical ids (a monotone counter, never reused); adds route through the
-//! batch book's own hash placement
-//! ([`stable_shard`](flexoffers_engine::stable_shard)), and the *logical
-//! portfolio* at any instant is the live offers in id order — exactly the
-//! portfolio a from-scratch build would hold, which is what every query
-//! answer is pinned against.
+//! A [`LiveBook`] is the event-driven counterpart of the flat engine's
+//! batch pass. Offers carry stable logical ids (a monotone counter, never
+//! reused); adds route to the shard a stable hash of the id names
+//! ([`stable_shard`]), and the *logical portfolio* at any instant is the
+//! live offers in id order — exactly the portfolio a from-scratch build
+//! would hold, which is what every query answer is pinned against.
 //!
 //! # Cache architecture
 //!
@@ -140,6 +138,10 @@ pub enum ImportError {
         /// A live id it failed to clear.
         id: u64,
     },
+    /// The id counter sat at `u64::MAX`: the next add would take that id
+    /// and leave the counter unable to clear it, so a second add would
+    /// reassign a live id.
+    ExhaustedIds,
     /// A shard's stored key digest disagreed with its offers.
     DigestMismatch {
         /// The offending shard index.
@@ -168,6 +170,9 @@ impl fmt::Display for ImportError {
             }
             ImportError::StaleNextId { next_id, id } => {
                 write!(f, "next id {next_id} does not clear live id {id}")
+            }
+            ImportError::ExhaustedIds => {
+                write!(f, "next id {} leaves no fresh id to assign", u64::MAX)
             }
             ImportError::DigestMismatch { shard } => {
                 write!(f, "shard {shard}: key digest disagrees with its offers")
@@ -427,8 +432,8 @@ fn grouping_key(offer: &FlexOffer) -> (i64, i64) {
 /// A commutative multiset hash of one grouping key: shard digests are the
 /// wrapping sum of member key hashes, so insert/remove/update maintain
 /// them in O(1) and equal key multisets give equal digests regardless of
-/// arrival order. (The engine's [`splitmix64`] twice — the exact mix the
-/// hash partitioner uses — so near-identical keys do not cancel.)
+/// arrival order. (The engine's [`splitmix64`] twice — the exact mix
+/// shard placement uses — so near-identical keys do not cancel.)
 fn key_hash((tes, tf): (i64, i64)) -> u64 {
     splitmix64(splitmix64(tes as u64) ^ (tf as u64))
 }
@@ -564,9 +569,10 @@ impl LiveBook {
         self.owners.iter().map(|(id, _, _)| id).collect()
     }
 
-    /// The id the next add will receive. Together with [`live_ids`]
-    /// this is the state [`parse_script_from`](crate::parse_script_from)
-    /// needs to validate a script that *continues* this book's history.
+    /// The id the next add will receive. Together with
+    /// [`live_ids`](Self::live_ids) this is the state
+    /// [`parse_script_from`](crate::parse_script_from) needs to validate a
+    /// script that *continues* this book's history.
     pub fn next_id(&self) -> u64 {
         self.next_id
     }
@@ -619,7 +625,8 @@ impl LiveBook {
 
     /// Rebuilds a book from an export, revalidating every structural
     /// invariant a fresh build would have established: unique ids in their
-    /// stable shards, an id counter strictly past every live id, key
+    /// stable shards, an id counter strictly past every live id and below
+    /// `u64::MAX` (so every later add gets a fresh id), key
     /// digests that match the offers, and aligned parallel arrays. The
     /// owner table and sorted key index are reconstructed (they are pure
     /// functions of the shard arrays); every offer starts stale, so the
@@ -631,6 +638,9 @@ impl LiveBook {
     ) -> Result<Self, ImportError> {
         if export.shards.is_empty() {
             return Err(ImportError::ZeroShards);
+        }
+        if export.next_id == u64::MAX {
+            return Err(ImportError::ExhaustedIds);
         }
         let shard_count = export.shards.len();
         let measures = all_measures().len();
@@ -820,10 +830,8 @@ impl LiveBook {
     }
 
     /// Adds an offer, assigning and returning the next logical id. Routes
-    /// to `stable_shard(id, shards)` — the same placement a batch
-    /// [`collect_hashed`](flexoffers_engine::ShardedBook::collect_hashed)
-    /// build computes from logical positions; the placement is irrelevant
-    /// to answers (the merge is partition-independent), it only spreads
+    /// to `stable_shard(id, shards)`; the placement is irrelevant to
+    /// answers (the merge is partition-independent), it only spreads
     /// load.
     pub fn add(&mut self, offer: FlexOffer) -> u64 {
         let id = self.next_id;
@@ -982,7 +990,7 @@ impl LiveBook {
 
         // The Scenario 1 pipeline over incrementally grouped state — the
         // engine's own back half, so the stages cannot drift from the
-        // flat and sharded paths.
+        // flat path.
         let ids = self.live_ids();
         let groups: Vec<Vec<usize>> = self
             .groups
@@ -1596,6 +1604,10 @@ mod tests {
             import(stale).unwrap_err(),
             ImportError::StaleNextId { next_id: 5, .. }
         ));
+
+        let mut exhausted = export.clone();
+        exhausted.next_id = u64::MAX;
+        assert_eq!(import(exhausted).unwrap_err(), ImportError::ExhaustedIds);
 
         let mut tampered = export.clone();
         tampered.shards[0].key_digest ^= 1;

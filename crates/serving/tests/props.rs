@@ -2,10 +2,9 @@
 //!
 //! After *any* interleaving of Add/Update/Remove/Query events, every query
 //! answer out of a [`LiveBook`] must byte-match (a) a from-scratch flat
-//! engine evaluation of the same logical portfolio, (b) a freshly
-//! partitioned [`ShardedBook`] run through the engine's book pipelines,
-//! and (c) any *other* `LiveBook` driven by the same events under a
-//! different shards × threads × chunk budget. The incremental caches
+//! engine evaluation of the same logical portfolio and (b) any *other*
+//! `LiveBook` driven by the same events under a different shards ×
+//! threads × chunk budget. The incremental caches
 //! (per-shard rows, baseline partials, key digests, grouping cache) must
 //! be invisible in the answers.
 
@@ -13,7 +12,7 @@ use std::collections::BTreeMap;
 
 use flexoffers_engine::{Budget, Engine, Kernel};
 use flexoffers_model::{FlexOffer, Slice};
-use flexoffers_serving::batch::{answer, answer_sharded, BatchBook};
+use flexoffers_serving::batch::{answer, BatchBook};
 use flexoffers_serving::{Event, LiveBook, QueryKind, ServeConfig};
 use proptest::prelude::*;
 
@@ -139,14 +138,13 @@ proptest! {
         }
     }
 
-    /// The final state also byte-matches a *freshly partitioned*
-    /// ShardedBook run through the engine's book pipelines — the book the
-    /// live tier replaces.
+    /// The final state of a book at a random shard count byte-matches a
+    /// from-scratch flat engine run over its logical portfolio — the batch
+    /// rebuild the live tier replaces.
     #[test]
-    fn final_state_matches_a_fresh_sharded_book_build(
+    fn final_state_matches_a_fresh_flat_engine_run(
         ops in arb_ops(),
         live_shards in 1usize..6,
-        fresh_shards in 1usize..6,
         threads in 1usize..5,
     ) {
         let budget = Budget::with_threads(threads).unwrap();
@@ -161,10 +159,6 @@ proptest! {
             let served = live.answer(kind);
             let flat = answer(&engine, &config, logical.as_slice(), kind);
             prop_assert_eq!(&served, &flat, "{} diverged from the flat engine", kind);
-            let sharded =
-                answer_sharded(&engine, &config, logical.as_slice(), fresh_shards, kind)
-                    .expect("non-zero shard count");
-            prop_assert_eq!(&served, &sharded, "{} diverged from a fresh book", kind);
         }
     }
 

@@ -14,7 +14,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use flexoffers_engine::{Budget, Engine, Kernel};
 use flexoffers_model::{FlexOffer, Slice};
 use flexoffers_serving::batch;
-use flexoffers_serving::{DurabilityConfig, Event, EventSink, LiveBook, QueryKind, ServeConfig};
+use flexoffers_serving::{
+    DurabilityConfig, Event, EventSink, ImportError, LiveBook, QueryKind, ServeConfig,
+};
 use flexoffers_storage::{recover, save_snapshot, DurableBook, Snapshot, StorageError};
 use proptest::prelude::*;
 
@@ -352,4 +354,31 @@ fn zero_replay_recovery_from_an_exact_snapshot() {
     let (_, report) = recover(&config, 2, Engine::sequential()).unwrap();
     assert_eq!(report.snapshot_seq, None, "ahead snapshot ignored");
     assert_eq!(report.replayed, 9);
+}
+
+/// A checksummed snapshot whose id counter sits at `u64::MAX` is refused
+/// at recovery with a coded error: accepted, its first add would take the
+/// last id and its second would reassign a live one.
+#[test]
+fn a_snapshot_with_an_exhausted_id_counter_is_refused() {
+    let dir = scratch_dir("exhausted");
+    let config = durable_config(&dir.path().join("events.jsonl"), None, 1);
+    let durability = config.durability.clone().unwrap();
+
+    let (mut durable, _) = DurableBook::open(config.clone(), 2, Engine::sequential()).unwrap();
+    durable
+        .apply(Event::Add(
+            FlexOffer::new(0, 2, vec![Slice::new(0, 2).unwrap()]).unwrap(),
+        ))
+        .unwrap();
+    let mut export = durable.book().export();
+    drop(durable);
+
+    export.next_id = u64::MAX;
+    save_snapshot(&durability.snapshot_path(), &Snapshot { seq: 1, export }).unwrap();
+    match recover(&config, 2, Engine::sequential()) {
+        Err(StorageError::BadSnapshotState(ImportError::ExhaustedIds)) => {}
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("an exhausted id counter must not recover"),
+    }
 }

@@ -3,15 +3,15 @@
 //! ```text
 //! flexctl measure <file.json|-> [measure-name ...]   measure a flex-offer
 //! flexctl measure --portfolio <file.json|->          measure a whole portfolio
-//!         [--threads N] [--shards K] [--json]        (engine-parallel; sharded
-//!         [--kernel scalar|columnar|auto]            book when --shards > 1)
+//!         [--threads N] [--json]                     (engine-parallel)
+//!         [--kernel scalar|columnar|auto]
 //!         [measure-name ...]
 //! flexctl measure --portfolio --city H [--seed S]    same, over a generated
-//!         [--threads N] [--shards K] [--json]        city streamed into shards
+//!         [--threads N] [--json]                     city
 //!         [--kernel scalar|columnar|auto]
 //! flexctl simulate --scenario <schedule|market>      run a scenario pipeline
 //!         [--city H] [--seed S] [--threads N]        on a generated city
-//!         [--shards K] [--scheduler greedy|hillclimb] (--households is an
+//!         [--scheduler greedy|hillclimb]             (--households is an
 //!         [--kernel scalar|columnar|auto] [--json]    alias of --city)
 //! flexctl serve --script <events.jsonl|->            replay an event stream
 //!         [--shards K | --workers W] [--threads N]   through the live book;
@@ -44,18 +44,17 @@
 //! `flexctl template | flexctl measure -` or
 //! `flexctl template --portfolio | flexctl measure --portfolio -`.
 //!
-//! `--shards K` partitions the book hash-by-offer-id into K shards and
-//! runs the sharded pipelines; the `--json` output is byte-identical to
-//! the unsharded run. `--city H` generates the portfolio instead of
-//! reading a file, and combined with `--shards` it is streamed straight
-//! into the shard buffers, so a million-offer city never materialises as
-//! one allocation:
-//! `flexctl measure --portfolio --city 296000 --shards 8 --json`.
+//! `--city H` generates the portfolio instead of reading a file:
+//! `flexctl measure --portfolio --city 296000 --threads 4 --json`
+//! measures a million offers. `measure` and `simulate` run the flat
+//! engine, chunked across `--threads N` workers; the output never depends
+//! on the thread count.
 //!
-//! `--threads N` is one *shared* budget, not per-shard: with `--shards K`
-//! each shard worker runs on `N / K` threads, floored at 1, so `K > N`
-//! degrades every shard worker to sequential instead of erroring (and
-//! results never change — the budget split is throughput-only). `--kernel`
+//! `--shards K` belongs to `serve` and `recover`: it is the live book's
+//! shard count. `--threads N` is then one *shared* budget, not per-shard:
+//! each shard's refresh runs on `N / K` threads, floored at 1, so `K > N`
+//! degrades every shard to sequential instead of erroring (and results
+//! never change — the budget split is throughput-only). `--kernel`
 //! picks the measure/baseline kernel implementation: `scalar` is the
 //! per-offer prepared loop, `columnar` the struct-of-arrays batch kernels,
 //! and the default `auto` picks columnar whenever every requested measure
@@ -119,9 +118,7 @@ use flexoffers::serving::{
 };
 use flexoffers::storage::{recover as recover_book, DurableBook, RecoveryReport};
 use flexoffers::workloads::{city_stream, district, event_stream, event_stream_len, EvCharger};
-use flexoffers::{
-    FlexOffer, Partitioner, Portfolio, Scenario, ScenarioKind, SchedulerChoice, ShardedBook,
-};
+use flexoffers::{FlexOffer, Portfolio, Scenario, ScenarioKind, SchedulerChoice};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -136,12 +133,12 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   flexctl measure <file.json|-> [measure-name ...]
-  flexctl measure --portfolio <file.json|-> [--threads N] [--shards K]
+  flexctl measure --portfolio <file.json|-> [--threads N]
                   [--kernel scalar|columnar|auto] [--json] [measure-name ...]
-  flexctl measure --portfolio --city H [--seed S] [--threads N] [--shards K]
+  flexctl measure --portfolio --city H [--seed S] [--threads N]
                   [--kernel scalar|columnar|auto] [--json]
   flexctl simulate --scenario <schedule|market> [--city H] [--seed S]
-                   [--threads N] [--shards K] [--scheduler greedy|hillclimb]
+                   [--threads N] [--scheduler greedy|hillclimb]
                    [--kernel scalar|columnar|auto] [--json]
   flexctl serve --script <events.jsonl|-> [--shards K | --workers W]
                 [--threads N] [--seed S] [--kernel scalar|columnar|auto]
@@ -159,9 +156,10 @@ const USAGE: &str = "usage:
   flexctl names
   flexctl template [--portfolio]
 
---threads is one shared budget: with --shards K each shard worker gets
-N / K threads, floored at 1 (K > N degrades shard workers to sequential,
-it never errors). --kernel selects the measure/baseline kernel (default
+--shards K (serve and recover only) is the live book's shard count.
+--threads is one shared budget: with --shards K each shard's refresh gets
+N / K threads, floored at 1 (K > N degrades shards to sequential, it
+never errors). --kernel selects the measure/baseline kernel (default
 auto = columnar whenever every requested measure has a columnar form);
 scalar, columnar and auto produce bitwise-identical output.
 
@@ -310,45 +308,6 @@ fn kernel_flag(args: &mut std::slice::Iter<'_, String>) -> Result<Kernel, String
         .ok_or_else(|| format!("unknown kernel {value}; expected scalar, columnar or auto"))
 }
 
-/// A loaded portfolio, flat or already partitioned into a sharded book.
-enum LoadedBook {
-    Flat(Portfolio),
-    Book(ShardedBook),
-}
-
-impl LoadedBook {
-    fn is_empty(&self) -> bool {
-        match self {
-            LoadedBook::Flat(p) => p.is_empty(),
-            LoadedBook::Book(b) => b.is_empty(),
-        }
-    }
-}
-
-/// The one city-loading path behind `measure --portfolio --city` and
-/// `simulate`: generate the seeded city and either collect it flat or
-/// stream it straight into hash-partitioned shard buffers (a
-/// million-offer city never materialises as one allocation).
-fn city_book(seed: u64, households: usize, shards: Option<usize>) -> Result<LoadedBook, String> {
-    match shards {
-        Some(k) => ShardedBook::collect_hashed(city_stream(seed, households), k)
-            .map(LoadedBook::Book)
-            .map_err(|e| e.to_string()),
-        None => Ok(LoadedBook::Flat(city_stream(seed, households).collect())),
-    }
-}
-
-/// The file-loading counterpart of [`city_book`].
-fn file_book(path: &str, shards: Option<usize>) -> Result<LoadedBook, String> {
-    let portfolio = load_portfolio(path)?;
-    match shards {
-        Some(k) => ShardedBook::from_portfolio(portfolio, k, &Partitioner::HashById)
-            .map(LoadedBook::Book)
-            .map_err(|e| e.to_string()),
-        None => Ok(LoadedBook::Flat(portfolio)),
-    }
-}
-
 fn resolve_measures(names: &[String]) -> Result<Vec<Box<dyn Measure>>, String> {
     if names.is_empty() {
         return Ok(all_measures());
@@ -364,13 +323,11 @@ fn resolve_measures(names: &[String]) -> Result<Vec<Box<dyn Measure>>, String> {
 }
 
 /// The `measure --portfolio` path: parse flags, build an engine, run one
-/// batched pass — flat, or over a hash-sharded book when `--shards` is
-/// given — and print the report (text or `--json`; the JSON mirror is
-/// byte-identical between the flat and sharded runs).
+/// batched pass over the file's or the generated city's portfolio, and
+/// print the report (text or `--json`).
 fn measure_portfolio(rest: &[String]) -> ExitCode {
     let mut positionals: Vec<String> = Vec::new();
     let mut threads: Option<usize> = None;
-    let mut shards: Option<usize> = None;
     let mut city: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut kernel = Kernel::Auto;
@@ -389,7 +346,7 @@ fn measure_portfolio(rest: &[String]) -> ExitCode {
                     }
                 };
             }
-            flag @ ("--threads" | "--shards" | "--city" | "--seed") => {
+            flag @ ("--threads" | "--city" | "--seed") => {
                 let n = match count_flag(flag, &mut args) {
                     Ok(n) => n,
                     Err(e) => {
@@ -399,10 +356,13 @@ fn measure_portfolio(rest: &[String]) -> ExitCode {
                 };
                 match flag {
                     "--threads" => threads = Some(n as usize),
-                    "--shards" => shards = Some(n as usize),
                     "--city" => city = Some(n as usize),
                     _ => seed = Some(n),
                 }
+            }
+            other if other.starts_with("--") => {
+                eprintln!("error: unknown measure argument {other}\n{USAGE}");
+                return ExitCode::FAILURE;
             }
             other => positionals.push(other.to_owned()),
         }
@@ -440,13 +400,9 @@ fn measure_portfolio(rest: &[String]) -> ExitCode {
     };
     let engine = Engine::new(budget);
 
-    // One loading helper for both sources (city generation streams into
-    // shard buffers when sharded; without --shards the genuinely flat
-    // engine path runs, so the CI byte-compare against a sharded run
-    // exercises two different pipelines).
     let loaded = match (city, path) {
-        (Some(households), _) => city_book(seed, households, shards),
-        (None, Some(path)) => file_book(&path, shards),
+        (Some(households), _) => Ok(flexoffers::workloads::city(seed, households)),
+        (None, Some(path)) => load_portfolio(&path),
         (None, None) => {
             eprintln!("{USAGE}");
             return ExitCode::FAILURE;
@@ -457,14 +413,11 @@ fn measure_portfolio(rest: &[String]) -> ExitCode {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
-        Ok(loaded) if loaded.is_empty() => {
+        Ok(portfolio) if portfolio.is_empty() => {
             eprintln!("error: empty portfolio — nothing to measure");
             return ExitCode::FAILURE;
         }
-        Ok(LoadedBook::Flat(portfolio)) => {
-            engine.measure_portfolio(portfolio.as_slice(), &measures)
-        }
-        Ok(LoadedBook::Book(book)) => engine.measure_book(&book, &measures),
+        Ok(portfolio) => engine.measure_portfolio(portfolio.as_slice(), &measures),
     };
 
     if json {
@@ -478,11 +431,10 @@ fn measure_portfolio(rest: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `simulate` path: parse flags, generate the city portfolio through
-/// the same loading helper `measure --portfolio --city` uses (`--city` and
-/// `--households` name the same knob), run the scenario through the
-/// engine, print the report (text or `--json`; the JSON mirror is
-/// deterministic across thread counts and shard counts).
+/// The `simulate` path: parse flags, generate the city portfolio
+/// (`--city` and `--households` name the same knob), run the scenario
+/// through the engine, print the report (text or `--json`; the JSON
+/// mirror is deterministic across thread counts).
 fn simulate(rest: &[String]) -> ExitCode {
     // ~3.4 offers per household puts the default portfolio above the
     // 10k-offer scale the engine pipelines are sized for.
@@ -492,7 +444,6 @@ fn simulate(rest: &[String]) -> ExitCode {
     let mut kind: Option<ScenarioKind> = None;
     let mut scheduler = SchedulerChoice::Greedy;
     let mut threads: Option<usize> = None;
-    let mut shards: Option<usize> = None;
     let mut kernel = Kernel::Auto;
     let mut json = false;
 
@@ -535,7 +486,7 @@ fn simulate(rest: &[String]) -> ExitCode {
                     }
                 }
             }
-            flag @ ("--city" | "--households" | "--seed" | "--threads" | "--shards") => {
+            flag @ ("--city" | "--households" | "--seed" | "--threads") => {
                 let n = match count_flag(flag, &mut args) {
                     Ok(n) => n,
                     Err(e) => {
@@ -547,7 +498,6 @@ fn simulate(rest: &[String]) -> ExitCode {
                     "--city" => city = Some(n as usize),
                     "--households" => households = Some(n as usize),
                     "--seed" => seed = n,
-                    "--shards" => shards = Some(n as usize),
                     _ => threads = Some(n as usize),
                 }
             }
@@ -580,15 +530,7 @@ fn simulate(rest: &[String]) -> ExitCode {
     let mut scenario = Scenario::city_portfolio(kind, households).with_seed(seed);
     scenario.scheduler = scheduler;
     let engine = Engine::new(budget);
-    let outcome = match city_book(seed, households, shards) {
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-        Ok(LoadedBook::Flat(portfolio)) => engine.simulate_portfolio(&scenario, &portfolio),
-        Ok(LoadedBook::Book(book)) => engine.simulate_book(&scenario, &book),
-    };
-    match outcome {
+    match engine.simulate(&scenario) {
         Ok(report) => {
             if json {
                 println!(

@@ -20,9 +20,7 @@
 //! * [`engine`] — batched, multi-threaded portfolio-scale evaluation of
 //!   the measures, aggregation, and the two end-to-end scenario pipelines
 //!   (schedule toward a target, trade on the balancing market), with
-//!   deterministic merge order — including sharded multi-million-offer
-//!   books ([`ShardedBook`]) whose per-shard workers and merge tier stay
-//!   bitwise identical to the flat engine;
+//!   deterministic merge order at any thread count;
 //! * [`serving`] — the live tier on top: an event-driven
 //!   [`LiveBook`](serving::LiveBook) over per-shard incremental state
 //!   (measure-major value columns with per-offer stale slots, cached
@@ -32,7 +30,7 @@
 //! * [`storage`] — durability for the serving tier: an append-only event
 //!   journal (itself a replayable event script), checksummed atomic
 //!   per-shard snapshots of the live book's offers, and crash recovery
-//!   ([`storage::recover`]) that truncates torn journal tails and
+//!   ([`storage::recover()`]) that truncates torn journal tails and
 //!   preserves byte-identity at any crash point;
 //! * [`net`] — the TCP front of the serving tier: request-id framed JSONL
 //!   over a fixed worker pool ([`net::NetServer`]), per-query deadlines,
@@ -87,8 +85,7 @@ pub use flexoffers_workloads as workloads;
 
 pub use flexoffers_aggregation::{aggregate, Aggregate, GroupingParams};
 pub use flexoffers_engine::{
-    Budget, Engine, Partitioner, PortfolioReport, Scenario, ScenarioKind, ScenarioReport,
-    SchedulerChoice, ShardedBook,
+    Budget, Engine, PortfolioReport, Scenario, ScenarioKind, ScenarioReport, SchedulerChoice,
 };
 pub use flexoffers_measures::{all_measures, Measure, MeasureError, Norm};
 pub use flexoffers_model::{

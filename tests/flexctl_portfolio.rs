@@ -1,6 +1,7 @@
 //! Integration tests for `flexctl measure --portfolio`: the engine-backed
-//! batch path, its JSON output, and every documented error path (empty
-//! portfolio, malformed JSON, zero-thread request, unknown measure).
+//! batch path, its JSON output, the `--city` generator's argument rules,
+//! and every documented error path (empty portfolio, malformed JSON,
+//! zero-thread request, unknown measure, unknown flag).
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -10,7 +11,7 @@ use serde::Deserialize;
 /// Typed mirror of the `--json` report (the vendored `serde_json` has no
 /// dynamic `Value`; typed deserialisation doubles as a schema check). The
 /// mirror is deliberately timing- and budget-free so equal portfolios
-/// serialise to equal bytes at any thread and shard count.
+/// serialise to equal bytes at any thread count.
 #[derive(Debug, Deserialize)]
 struct JsonReport {
     offers: usize,
@@ -201,4 +202,76 @@ fn unknown_measure_is_rejected() {
     assert!(!out.status.success(), "unknown measure must fail");
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(stderr.contains("unknown measure"), "stderr: {stderr}");
+}
+
+fn stderr_of_failure(args: &[&str], stdin: Option<&str>) -> String {
+    let out = flexctl(args, stdin);
+    assert!(!out.status.success(), "flexctl {args:?} must fail");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn unknown_flags_are_rejected_and_shards_is_serve_only() {
+    // `--shards` is the live book's shard count: `serve`/`recover` take
+    // it, the flat `measure --portfolio` and `simulate` paths do not.
+    let stderr = stderr_of_failure(
+        &["measure", "--portfolio", "--city", "10", "--shards", "4"],
+        None,
+    );
+    assert!(
+        stderr.contains("unknown measure argument --shards"),
+        "stderr: {stderr}"
+    );
+    let stderr = stderr_of_failure(&["simulate", "--scenario", "market", "--shards", "4"], None);
+    assert!(
+        stderr.contains("unknown simulate argument --shards"),
+        "stderr: {stderr}"
+    );
+    // A misspelt flag is named as such, not taken for a measure or a file.
+    let stderr = stderr_of_failure(&["measure", "--portfolio", "--city", "10", "--jsn"], None);
+    assert!(
+        stderr.contains("unknown measure argument --jsn"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn positional_measure_names_work_on_either_side_of_city() {
+    // Positionals are classified after flag parsing, so a measure name
+    // means the same thing before and after --city.
+    let run = |args: &[&str]| {
+        let out = flexctl(args, None);
+        assert!(out.status.success(), "flexctl {args:?} exits 0");
+        String::from_utf8(out.stdout).expect("output is UTF-8")
+    };
+    let before = run(&["measure", "--portfolio", "time", "--city", "10", "--json"]);
+    let after = run(&["measure", "--portfolio", "--city", "10", "time", "--json"]);
+    assert_eq!(before, after);
+    assert!(before.contains("Time"), "subset honoured:\n{before}");
+    assert!(!before.contains("Energy"), "subset honoured:\n{before}");
+}
+
+#[test]
+fn city_flag_rejects_a_competing_file_argument_as_an_unknown_measure() {
+    let stderr = stderr_of_failure(
+        &["measure", "--portfolio", "input.json", "--city", "10"],
+        None,
+    );
+    assert!(
+        stderr.contains("unknown measure input.json"),
+        "stderr: {stderr}"
+    );
+}
+
+#[test]
+fn seed_without_city_is_rejected() {
+    let template = portfolio_template();
+    let stderr = stderr_of_failure(
+        &["measure", "--portfolio", "-", "--seed", "9"],
+        Some(&template),
+    );
+    assert!(
+        stderr.contains("--seed only applies to a generated portfolio"),
+        "stderr: {stderr}"
+    );
 }
